@@ -104,13 +104,17 @@ void Laesa::BuildTable() {
 // abandon any evaluation that provably reaches it, because such a value
 // could at most tie.
 //
-// The per-visit pass — tighten with the visited pivot's contiguous table
-// row, eliminate, compact, pick the next candidate — runs on the shared
-// dispatched sweep kernels (sweep_kernel.h), so the flat, sharded and
-// mapped indexes execute literally the same vector code over their packed
-// candidate slabs. The kernels preserve the classic scan's semantics
-// bit for bit: compaction is stable and min-bound ties resolve to the
-// smallest index.
+// Two phases, both shared through sweep_kernel.h, so the flat, sharded and
+// mapped indexes execute literally the same code over their packed
+// candidate slabs:
+//   * pivot phase — while a pivot survives, visit the surviving pivot with
+//     minimal lower bound (the "approximating" step of LAESA), tighten
+//     every survivor with its contiguous table row, then one
+//     eliminate-and-compact pass picks the next pivot;
+//   * fixed-bound tail — once no pivot survives, no row is left to apply
+//     and the remaining non-pivots are visited from an in-place
+//     (bound, id) heap (`VisitFixedBoundTail`), in the same order the
+//     per-visit pass would pick them.
 std::vector<NeighborResult> Laesa::Sweep(std::string_view query, std::size_t k,
                                          double slack, QueryStats* stats,
                                          const std::uint64_t* tombstones)
@@ -144,7 +148,7 @@ std::vector<NeighborResult> Laesa::Sweep(std::string_view query, std::size_t k,
   const double inf = std::numeric_limits<double>::infinity();
   auto kth = [&]() { return best.size() < k ? inf : best.back().distance; };
 
-  std::uint64_t computations = 0, abandons = 0, pivot_computations = 0;
+  std::uint64_t pivot_computations = 0, abandons = 0;
 
   std::size_t s = pivots_[0];  // start from the first base prototype
   if (tombstones != nullptr) {
@@ -152,58 +156,52 @@ std::vector<NeighborResult> Laesa::Sweep(std::string_view query, std::size_t k,
     // visited: force the masked slots' bounds to +inf, then one flagged
     // pass drops them from the packed slab (lower >= bound is inclusive,
     // so +inf falls even to the infinite starting incumbent) and hands
-    // back the minimal-bound live start — pivots first, as usual.
+    // back the minimal-bound live pivot. With every pivot masked the
+    // sweep goes straight to the tail.
     ApplyTombstoneMask(tombstones, n, lower);
     const SweepCompactResult pre = kern.eliminate_and_compact_flagged(
         idx, lower, pivot_rank_.data(), live, /*skip=*/0xFFFFFFFFu, slack,
         inf);
     live = pre.live;
     live_pivots -= pre.pivots_died;
-    s = live_pivots > 0 ? pre.next_pivot : pre.next;
-    if (s == kSweepNone) live = 0;
+    s = pre.next_pivot;
   }
-  while (live > 0) {
-    const bool s_is_pivot = pivot_rank_[s] >= 0;
-
+  while (live_pivots > 0) {
     // Pivot distances stay exact: the full value tightens a whole row of
     // lower bounds (both sides of |d - row[i]|), which an abandoned
-    // evaluation cannot. Non-pivot distances only ever update the
-    // incumbents, so the k-th incumbent bounds their kernel — the search
-    // trajectory (and computation count) is identical to the unbounded
-    // sweep, only the per-evaluation DP work shrinks.
-    const double cap = s_is_pivot ? inf : kth();
-    const double d = distance_->DistanceBounded(query, protos[s], cap);
-    ++computations;
-    pivot_computations += s_is_pivot ? 1 : 0;
-    if (d >= cap) {
+    // evaluation cannot. Under the +inf cap only an infinite distance
+    // counts as abandoned.
+    const double d = distance_->DistanceBounded(query, protos[s], inf);
+    ++pivot_computations;
+    if (d >= inf) {
       ++abandons;
     } else {
       InsertNeighborTopK(best, k, {s, d});
     }
 
-    // Tighten with the visited pivot's row (a non-pivot visit leaves the
-    // bounds as they are), then one eliminate-and-compact pass picks the
-    // next candidate — the surviving pivot with minimal lower bound while
-    // pivots remain (the "approximating" step of LAESA), otherwise the
-    // surviving prototype with minimal lower bound.
-    if (s_is_pivot) {
-      QuantUpdateLowerPacked(kern, view,
-                             static_cast<std::size_t>(pivot_rank_[s]), n, d,
-                             idx, 0, lower, live);
-    }
+    QuantUpdateLowerPacked(kern, view,
+                           static_cast<std::size_t>(pivot_rank_[s]), n, d,
+                           idx, 0, lower, live);
     const SweepCompactResult pass = kern.eliminate_and_compact_flagged(
         idx, lower, pivot_rank_.data(), live, static_cast<std::uint32_t>(s),
         slack, kth());
     live = pass.live;
     live_pivots -= pass.pivots_died;
-    if (live == 0) break;
-    s = live_pivots > 0 ? pass.next_pivot : pass.next;
-    if (s == kSweepNone) break;  // defensive: accounting can never reach this
+    s = pass.next_pivot;
   }
 
+  // Non-pivot distances only ever update the incumbents, so the k-th
+  // incumbent bounds their kernel — the search trajectory (and computation
+  // count) is identical to the unbounded sweep, only the per-evaluation DP
+  // work shrinks.
+  const SweepTailCounts tail = VisitFixedBoundTail(
+      idx, lower, live, slack, k, best, [&](std::size_t id, double cap) {
+        return distance_->DistanceBounded(query, protos[id], cap);
+      });
+
   if (stats != nullptr) {
-    stats->distance_computations += computations;
-    stats->bounded_abandons += abandons;
+    stats->distance_computations += pivot_computations + tail.computations;
+    stats->bounded_abandons += abandons + tail.abandons;
     stats->pivot_computations += pivot_computations;
   }
   return best;
@@ -240,50 +238,32 @@ std::vector<NeighborResult> Laesa::SweepWithRow(std::string_view query,
   std::vector<NeighborResult> best;
   best.reserve(k + 1);
   const double inf = std::numeric_limits<double>::infinity();
-  auto kth = [&]() { return best.size() < k ? inf : best.back().distance; };
   for (std::size_t p = 0; p < pivots_.size(); ++p) {
     if (pivot_rank_[pivots_[p]] != static_cast<std::int32_t>(p)) continue;
     InsertNeighborTopK(best, k, {pivots_[p], row[p]}, /*admit_ties=*/true);
   }
+  const double seed_bound = best.size() < k ? inf : best.back().distance;
 
   // Tighten every lower bound with every pivot row (no elimination yet:
-  // each row pass is the dense streamed-max kernel), then eliminate against
-  // the fully seeded k-th incumbent, compact the surviving non-pivots into
-  // the packed slabs and pick the first minimal-bound survivor — one
-  // compact_seed pass.
+  // each row pass is the dense streamed-max kernel), then one compact_seed
+  // pass eliminates against the fully seeded k-th incumbent and packs the
+  // surviving non-pivots. Their bounds are final, so the adaptive phase is
+  // the fixed-bound tail from the first visit on.
   const QuantTableView view = table_view();
   for (std::size_t p = 0; p < pivots_.size(); ++p) {
     QuantUpdateLowerDense(kern, view, p, n, row[p], lower);
   }
   const SweepCompactResult seed = kern.compact_seed(
-      lower, pivot_rank_.data(), n, 0, kth(), idx, lower);
-  std::size_t live = seed.live;
-  std::size_t s = seed.next;
-
-  std::uint64_t computations = 0, abandons = 0;
-
-  // Adaptive non-pivot phase, identical in structure to `Sweep`'s loop with
-  // no table row left to apply: visit the minimal-lower-bound survivor,
-  // then one eliminate-and-compact pass against the improved incumbent
-  // picks the next visit.
-  while (live > 0 && s != kSweepNone) {
-    const double cap = kth();
-    const double d = distance_->DistanceBounded(query, protos[s], cap);
-    ++computations;
-    if (d >= cap) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {s, d});
-    }
-    const SweepCompactResult pass = kern.eliminate_and_compact(
-        idx, lower, live, static_cast<std::uint32_t>(s), kth());
-    live = pass.live;
-    s = pass.next;
-  }
+      lower, pivot_rank_.data(), n, 0, seed_bound, idx, lower);
+  const SweepTailCounts tail = VisitFixedBoundTail(
+      idx, lower, seed.live, /*slack=*/1.0, k, best,
+      [&](std::size_t id, double cap) {
+        return distance_->DistanceBounded(query, protos[id], cap);
+      });
 
   if (stats != nullptr) {
-    stats->distance_computations += computations;
-    stats->bounded_abandons += abandons;
+    stats->distance_computations += tail.computations;
+    stats->bounded_abandons += tail.abandons;
   }
   return best;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -16,7 +17,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Candidate work below which the per-visit shard passes run serially on the
+// Candidate work below which the pivot-phase shard passes run serially on the
 // calling thread. ParallelFor spawns and joins real threads (no pool), so a
 // pass must stream on the order of a million candidates — tens of
 // megabytes, hundreds of microseconds — before that dispatch pays for
@@ -38,6 +39,41 @@ struct ShardedScratch {
 ShardedScratch& TlsShardedScratch() {
   thread_local ShardedScratch scratch;
   return scratch;
+}
+
+// Packs the per-shard survivor segments [shard_base(s), +live[s]) to the
+// front of the slabs for the fixed-bound tail and returns their total.
+// Every destination starts at or below its source, so the moves can run
+// front to back.
+std::size_t PackSegments(const ShardedPrototypeStore& st,
+                         const std::vector<std::size_t>& live,
+                         std::uint32_t* idx, double* lower) {
+  std::size_t total = 0;
+  for (std::size_t sh = 0; sh < live.size(); ++sh) {
+    const std::size_t base = st.shard_base(sh);
+    if (base != total) {
+      std::memmove(idx + total, idx + base, live[sh] * sizeof(*idx));
+      std::memmove(lower + total, lower + base, live[sh] * sizeof(*lower));
+    }
+    total += live[sh];
+  }
+  return total;
+}
+
+// The fixed-bound tail's evaluation for a sharded sweep: each visit is
+// charged to its owning shard when per-shard stats are requested.
+auto ShardChargedEval(const StringDistance& distance, std::string_view query,
+                      const ShardedPrototypeStore& st,
+                      QueryStats* shard_stats) {
+  return [&distance, query, &st, shard_stats](std::size_t id, double cap) {
+    const double d = distance.DistanceBounded(query, st.view(id), cap);
+    if (shard_stats != nullptr) {
+      QueryStats& hs = shard_stats[st.ShardOf(id)];
+      hs.distance_computations += 1;
+      hs.bounded_abandons += d >= cap ? 1 : 0;
+    }
+    return d;
+  };
 }
 
 }  // namespace
@@ -123,15 +159,17 @@ void ShardedLaesa::BuildTables() {
   }
 }
 
-// The flat `Laesa::Sweep` with its per-visit pass partitioned by shard: the
-// visit loop below makes the same decisions on the same values in the same
-// order (incumbents, kernel caps, elimination bound, and the
-// next-candidate merge that resolves ties to the lowest global index, as
-// the flat packed scan does), so neighbours, distances and QueryStats are
-// bit-identical to the single-store index for every distance. Each shard's
+// The flat `Laesa::Sweep` with its pivot-phase pass partitioned by shard:
+// the visit loop below makes the same decisions on the same values in the
+// same order (incumbents, elimination bound, and the next-pivot merge that
+// resolves ties to the lowest global index, as the flat packed scan does),
+// so neighbours, distances and QueryStats are bit-identical to the
+// single-store index for every distance. Each shard's
 // tighten/eliminate/compact pass runs on the shared dispatched sweep
 // kernels (sweep_kernel.h) over that shard's slab segment — literally the
-// flat index's vector code, partitioned.
+// flat index's vector code, partitioned. Once no pivot survives, the
+// segments are packed to the front and the shared fixed-bound tail visits
+// the rest, exactly as in the flat index.
 std::vector<NeighborResult> ShardedLaesa::Sweep(std::string_view query,
                                                 std::size_t k, double slack,
                                                 QueryStats* stats,
@@ -167,17 +205,14 @@ std::vector<NeighborResult> ShardedLaesa::Sweep(std::string_view query,
   best.reserve(k + 1);
   auto kth = [&]() { return best.size() < k ? kInf : best.back().distance; };
 
-  std::uint64_t computations = 0, abandons = 0, pivot_computations = 0;
+  std::uint64_t pivot_computations = 0, abandons = 0;
 
   std::size_t s_cand = pivots_[0];  // start from the first base prototype
-  while (total_live > 0) {
+  while (live_pivots > 0) {
     const std::int32_t rank = pivot_rank_[s_cand];
-    const bool is_pivot = rank >= 0;
-    const double cap = is_pivot ? kInf : kth();
-    const double d = distance_->DistanceBounded(query, st.view(s_cand), cap);
-    ++computations;
-    pivot_computations += is_pivot ? 1 : 0;
-    const bool abandoned = d >= cap;
+    const double d = distance_->DistanceBounded(query, st.view(s_cand), kInf);
+    ++pivot_computations;
+    const bool abandoned = d >= kInf;
     if (abandoned) {
       ++abandons;
     } else {
@@ -187,20 +222,18 @@ std::vector<NeighborResult> ShardedLaesa::Sweep(std::string_view query,
       QueryStats& hs = shard_stats[st.ShardOf(s_cand)];
       hs.distance_computations += 1;
       hs.bounded_abandons += abandoned ? 1 : 0;
-      hs.pivot_computations += is_pivot ? 1 : 0;
+      hs.pivot_computations += 1;
     }
 
     const double bound = kth();
     auto pass_fn = [&](std::size_t sh) {
       const std::size_t base = st.shard_base(sh);
       const std::size_t seg_live = scratch.live[sh];
-      if (is_pivot) {
-        QuantUpdateLowerPacked(kern, shard_view(sh),
-                               static_cast<std::size_t>(rank),
-                               st.shard(sh).size(), d, idx + base,
-                               static_cast<std::uint32_t>(base), lower + base,
-                               seg_live);
-      }
+      QuantUpdateLowerPacked(kern, shard_view(sh),
+                             static_cast<std::size_t>(rank),
+                             st.shard(sh).size(), d, idx + base,
+                             static_cast<std::uint32_t>(base), lower + base,
+                             seg_live);
       scratch.pass[sh] = kern.eliminate_and_compact_flagged(
           idx + base, lower + base, pivot_rank_.data(), seg_live,
           static_cast<std::uint32_t>(s_cand), slack, bound);
@@ -211,35 +244,31 @@ std::vector<NeighborResult> ShardedLaesa::Sweep(std::string_view query,
       for (std::size_t sh = 0; sh < shards; ++sh) pass_fn(sh);
     }
 
-    // Merge per-shard minima in shard order with strict '<': the first
-    // occurrence wins, i.e. the lowest global index among ties — exactly
-    // the flat packed scan's choice.
+    // Merge per-shard pivot minima in shard order with strict '<': the
+    // first occurrence wins, i.e. the lowest global index among ties —
+    // exactly the flat packed scan's choice.
     total_live = 0;
-    std::size_t next = kSweepNone, next_pivot = kSweepNone;
-    double next_key = kInf, next_pivot_key = kInf;
+    s_cand = kSweepNone;
+    double s_key = kInf;
     for (std::size_t sh = 0; sh < shards; ++sh) {
       const SweepCompactResult& out = scratch.pass[sh];
       scratch.live[sh] = out.live;
       total_live += out.live;
       live_pivots -= out.pivots_died;
-      if (out.next != kSweepNone && out.next_key < next_key) {
-        next_key = out.next_key;
-        next = out.next;
-      }
-      if (out.next_pivot != kSweepNone && out.next_pivot_key < next_pivot_key) {
-        next_pivot_key = out.next_pivot_key;
-        next_pivot = out.next_pivot;
+      if (out.next_pivot != kSweepNone && out.next_pivot_key < s_key) {
+        s_key = out.next_pivot_key;
+        s_cand = out.next_pivot;
       }
     }
-    if (total_live == 0) break;
-    s_cand = live_pivots > 0 ? next_pivot : next;
-    // defensive: accounting can never reach this
-    if (s_cand == kSweepNone) break;
   }
 
+  const SweepTailCounts tail = VisitFixedBoundTail(
+      idx, lower, PackSegments(st, scratch.live, idx, lower), slack, k, best,
+      ShardChargedEval(*distance_, query, st, shard_stats));
+
   if (stats != nullptr) {
-    stats->distance_computations += computations;
-    stats->bounded_abandons += abandons;
+    stats->distance_computations += pivot_computations + tail.computations;
+    stats->bounded_abandons += abandons + tail.abandons;
     stats->pivot_computations += pivot_computations;
   }
   return best;
@@ -248,8 +277,8 @@ std::vector<NeighborResult> ShardedLaesa::Sweep(std::string_view query,
 // Row-consuming counterpart, mirroring `Laesa::SweepWithRow`: seed the
 // incumbents with every pivot distance, apply every table row per shard (a
 // streamed max with no elimination inside), eliminate against the seeded
-// k-th incumbent, then run the same adaptive loop over the surviving
-// non-pivots.
+// k-th incumbent, then pack the surviving non-pivots to the front and visit
+// them through the same fixed-bound tail.
 std::vector<NeighborResult> ShardedLaesa::SweepWithRow(
     std::string_view query, std::size_t k, const double* row,
     QueryStats* stats, QueryStats* shard_stats) const {
@@ -266,7 +295,6 @@ std::vector<NeighborResult> ShardedLaesa::SweepWithRow(
   slabs.lower.resize(n);
   ShardedScratch& scratch = TlsShardedScratch();
   scratch.live.assign(shards, 0);
-  scratch.pass.assign(shards, SweepCompactResult{});
   std::uint32_t* idx = slabs.idx.data();
   double* lower = slabs.lower.data();
 
@@ -278,15 +306,14 @@ std::vector<NeighborResult> ShardedLaesa::SweepWithRow(
 
   std::vector<NeighborResult> best;
   best.reserve(k + 1);
-  auto kth = [&]() { return best.size() < k ? kInf : best.back().distance; };
   for (std::size_t p = 0; p < p_count; ++p) {
     InsertNeighborTopK(best, k, {pivots_[p], row[p]}, /*admit_ties=*/true);
   }
 
   // Per shard: every pivot row applied with the dense streamed-max kernel,
   // then one compact_seed pass packs the surviving non-pivots of that
-  // shard's segment and tracks its minimal-bound survivor.
-  const double seed_bound = kth();
+  // shard's segment.
+  const double seed_bound = best.size() < k ? kInf : best.back().distance;
   auto stage_fn = [&](std::size_t sh) {
     const std::size_t base = st.shard_base(sh);
     const std::size_t n_sh = st.shard(sh).size();
@@ -295,9 +322,11 @@ std::vector<NeighborResult> ShardedLaesa::SweepWithRow(
     for (std::size_t p = 0; p < p_count; ++p) {
       QuantUpdateLowerDense(kern, view, p, n_sh, row[p], slow);
     }
-    scratch.pass[sh] = kern.compact_seed(
-        slow, pivot_rank_.data() + base, n_sh,
-        static_cast<std::uint32_t>(base), seed_bound, idx + base, slow);
+    scratch.live[sh] =
+        kern.compact_seed(slow, pivot_rank_.data() + base, n_sh,
+                          static_cast<std::uint32_t>(base), seed_bound,
+                          idx + base, slow)
+            .live;
   };
   if (shards > 1 && p_count * n >= kParallelPassWork) {
     ParallelFor(shards, stage_fn);
@@ -305,67 +334,13 @@ std::vector<NeighborResult> ShardedLaesa::SweepWithRow(
     for (std::size_t sh = 0; sh < shards; ++sh) stage_fn(sh);
   }
 
-  std::size_t total_live = 0;
-  std::size_t s_cand = kSweepNone;
-  double s_key = kInf;
-  for (std::size_t sh = 0; sh < shards; ++sh) {
-    const SweepCompactResult& out = scratch.pass[sh];
-    scratch.live[sh] = out.live;
-    total_live += out.live;
-    if (out.next != kSweepNone && out.next_key < s_key) {
-      s_key = out.next_key;
-      s_cand = out.next;
-    }
-  }
-
-  std::uint64_t computations = 0, abandons = 0;
-
-  while (total_live > 0 && s_cand != kSweepNone) {
-    const double cap = kth();
-    const double d = distance_->DistanceBounded(query, st.view(s_cand), cap);
-    ++computations;
-    const bool abandoned = d >= cap;
-    if (abandoned) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {s_cand, d});
-    }
-    if (shard_stats != nullptr) {
-      QueryStats& hs = shard_stats[st.ShardOf(s_cand)];
-      hs.distance_computations += 1;
-      hs.bounded_abandons += abandoned ? 1 : 0;
-    }
-
-    const double bound = kth();
-    auto pass_fn = [&](std::size_t sh) {
-      const std::size_t base = st.shard_base(sh);
-      scratch.pass[sh] = kern.eliminate_and_compact(
-          idx + base, lower + base, scratch.live[sh],
-          static_cast<std::uint32_t>(s_cand), bound);
-    };
-    if (shards > 1 && total_live >= kParallelPassWork) {
-      ParallelFor(shards, pass_fn);
-    } else {
-      for (std::size_t sh = 0; sh < shards; ++sh) pass_fn(sh);
-    }
-
-    total_live = 0;
-    s_cand = kSweepNone;
-    s_key = kInf;
-    for (std::size_t sh = 0; sh < shards; ++sh) {
-      const SweepCompactResult& out = scratch.pass[sh];
-      scratch.live[sh] = out.live;
-      total_live += out.live;
-      if (out.next != kSweepNone && out.next_key < s_key) {
-        s_key = out.next_key;
-        s_cand = out.next;
-      }
-    }
-  }
+  const SweepTailCounts tail = VisitFixedBoundTail(
+      idx, lower, PackSegments(st, scratch.live, idx, lower), /*slack=*/1.0,
+      k, best, ShardChargedEval(*distance_, query, st, shard_stats));
 
   if (stats != nullptr) {
-    stats->distance_computations += computations;
-    stats->bounded_abandons += abandons;
+    stats->distance_computations += tail.computations;
+    stats->bounded_abandons += tail.abandons;
   }
   return best;
 }

@@ -28,20 +28,23 @@ namespace cned {
 /// Query execution runs the *identical* approximating-and-eliminating
 /// sweep as the flat index: one global visit loop (incumbents, elimination
 /// threshold and the next-candidate choice are global decisions, ties
-/// resolved by lowest global index exactly as the flat packed scan does),
-/// with the per-visit tighten/eliminate/compact pass partitioned by shard
-/// and fanned out through `ParallelFor` when enough candidates survive to
-/// amortise the dispatch. Every shard pass touches only its own contiguous
-/// candidate segment and its own table rows, and the per-shard minima are
-/// merged in shard order — so neighbours, distances *and* `QueryStats` are
-/// bit-identical to the single-store `Laesa` on every distance, metric or
-/// not, regardless of shard count or thread schedule.
+/// resolved by lowest global index exactly as the flat packed scan does).
+/// In the pivot phase each visit's tighten/eliminate/compact pass is
+/// partitioned by shard and fanned out through `ParallelFor` when enough
+/// candidates survive to amortise the dispatch; every shard pass touches
+/// only its own contiguous candidate segment and its own table rows, and
+/// the per-shard minima are merged in shard order. Once no pivot survives,
+/// the segments are packed to the front of the slab and the flat index's
+/// fixed-bound tail (sweep_kernel.h) visits the rest. So neighbours,
+/// distances *and* `QueryStats` are bit-identical to the single-store
+/// `Laesa` on every distance, metric or not, regardless of shard count or
+/// thread schedule.
 ///
 /// The `*WithPivotRow` entry points are the sharded half of the batch
 /// engine's two-stage pipeline (see pivot_stage.h): the engine evaluates
 /// the query x pivot block once for the whole batch and each sweep then
 /// consumes its precomputed row — per-shard row application in parallel,
-/// followed by the same global adaptive phase over the survivors.
+/// followed by the same fixed-bound tail over the survivors.
 class ShardedLaesa final : public NearestNeighborSearcher,
                            public PivotStageSearcher,
                            public ShardStatsSearcher {
@@ -187,8 +190,9 @@ class ShardedLaesa final : public NearestNeighborSearcher,
 
   void BuildTables();
 
-  /// The global adaptive sweep with shard-partitioned passes (lazy pivot
-  /// evaluation — the per-query path).
+  /// The global adaptive sweep (lazy pivot evaluation — the per-query
+  /// path): shard-partitioned passes while pivots survive, then the
+  /// fixed-bound tail over the packed survivors.
   std::vector<NeighborResult> Sweep(std::string_view query, std::size_t k,
                                     double slack, QueryStats* stats,
                                     QueryStats* shard_stats) const;

@@ -302,6 +302,47 @@ std::size_t FillIotaCountPivots(std::uint32_t* idx,
   return pivots;
 }
 
+namespace {
+
+// Heap order on the (lower, id) key; ids are distinct, so it is total.
+inline bool CandidateBefore(double la, std::uint32_t ia, double lb,
+                            std::uint32_t ib) {
+  return la < lb || (la == lb && ia < ib);
+}
+
+// Sifts (id, lb) down from `hole` over the heap [0, live), moving smaller
+// children up into the hole until (id, lb) fits.
+void SiftDown(std::uint32_t* idx, double* lower, std::size_t live,
+              std::size_t hole, std::uint32_t id, double lb) {
+  for (;;) {
+    std::size_t child = 2 * hole + 1;
+    if (child >= live) break;
+    if (child + 1 < live && CandidateBefore(lower[child + 1], idx[child + 1],
+                                            lower[child], idx[child])) {
+      ++child;
+    }
+    if (!CandidateBefore(lower[child], idx[child], lb, id)) break;
+    idx[hole] = idx[child];
+    lower[hole] = lower[child];
+    hole = child;
+  }
+  idx[hole] = id;
+  lower[hole] = lb;
+}
+
+}  // namespace
+
+void HeapifyCandidates(std::uint32_t* idx, double* lower, std::size_t live) {
+  for (std::size_t i = live / 2; i-- > 0;) {
+    SiftDown(idx, lower, live, i, idx[i], lower[i]);
+  }
+}
+
+void PopCandidate(std::uint32_t* idx, double* lower, std::size_t live) {
+  const std::size_t last = live - 1;
+  if (last > 0) SiftDown(idx, lower, last, 0, idx[last], lower[last]);
+}
+
 void ApplyTombstoneMask(const std::uint64_t* bits, std::size_t n,
                         double* lower) {
   constexpr double kInf = std::numeric_limits<double>::infinity();

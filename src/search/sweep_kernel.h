@@ -8,16 +8,19 @@
 #include <vector>
 
 #include "common/aligned_buffer.h"
+#include "search/nn_searcher.h"
 
 namespace cned {
 
-/// The shared vectorised elimination core of the LAESA family.
+/// The shared elimination core of the LAESA family.
 ///
 /// Every LAESA-shaped sweep in the library — `Laesa::Sweep`,
 /// `Laesa::SweepWithRow`, `Laesa::RangeSearch` and `ShardedLaesa`'s
-/// per-shard passes (and through them the batch engine's pivot-stage
-/// pipeline) — is the same three data-parallel operations over packed
-/// candidate slabs:
+/// sweeps (and through them `MutableLaesa` and the batch engine's
+/// pivot-stage pipeline) — runs over packed candidate slabs in two phases.
+///
+/// While pivot rows are still being applied, every visit changes the
+/// bounds, so each step is a data-parallel pass:
 ///
 ///   1. tighten lower bounds with a visited pivot's table row
 ///      (`update_lower_*`: fused abs-diff + running max),
@@ -28,12 +31,19 @@ namespace cned {
 ///   3. the length-bound "zeroth pivot" fill (`fill_absdiff_bounds`: the
 ///      |Δlen| core of the unit-cost edit-distance family's bound).
 ///
-/// This header defines those operations once as a dispatch table of
-/// function pointers with scalar, AVX2 and NEON implementations. The
-/// variant is chosen at startup by runtime CPU detection (the binary stays
-/// portable — only the per-ISA translation units are compiled with their
-/// target extension) and can be forced for ablations and CI via the
-/// `CNED_SWEEP_KERNEL` environment variable or `SetActiveSweepKernels`.
+/// These are defined once as a dispatch table of function pointers with
+/// scalar, AVX2 and NEON implementations. The variant is chosen at startup
+/// by runtime CPU detection (the binary stays portable — only the per-ISA
+/// translation units are compiled with their target extension) and can be
+/// forced for ablations and CI via the `CNED_SWEEP_KERNEL` environment
+/// variable or `SetActiveSweepKernels`.
+///
+/// Once no pivot row is left to apply, every survivor's bound is fixed and
+/// only the incumbent still moves. The sweeps then hand the survivors to
+/// `VisitFixedBoundTail`, which heapifies them in place on (bound, id) and
+/// pops them in that order until the top is eliminated — O(log live) per
+/// visit instead of one O(live) pass (see that function for why the visit
+/// sequence is unchanged).
 ///
 /// Bit-identity contract: every implementation computes exactly the scalar
 /// reference semantics documented per entry below. All arithmetic involved
@@ -48,9 +58,11 @@ namespace cned {
 /// compaction kernel is strictly ascending (true by construction: slices
 /// start as an iota fill and compaction is stable), which is what lets the
 /// vector implementations resolve min-bound ties by smallest id instead of
-/// smallest scan position. Slabs should come from `SweepScratch` (64-byte
-/// aligned); the kernels use unaligned loads so mid-slab shard segments
-/// are also fine.
+/// smallest scan position. The fixed-bound tail's heap breaks that order,
+/// which is why it is always a sweep's last phase: every sweep refills its
+/// slabs from an iota fill or `compact_seed` before the next compaction.
+/// Slabs should come from `SweepScratch` (64-byte aligned); the kernels use
+/// unaligned loads so mid-slab shard segments are also fine.
 
 /// "No candidate": the sentinel `next`/`next_pivot` value.
 constexpr std::size_t kSweepNone = static_cast<std::size_t>(-1);
@@ -139,8 +151,9 @@ struct SweepKernels {
   void (*fill_absdiff_bounds)(std::size_t x_len, const std::uint32_t* y_lens,
                               std::size_t n, double* out);
 
-  /// Eliminate + compact without pivot bookkeeping (the adaptive phase of
-  /// the row-consuming sweeps). Keeps idx[r] iff
+  /// Eliminate + compact without pivot bookkeeping (each step of the
+  /// serving tier's row-consuming shard sweeps, serve/replica.h). Keeps
+  /// idx[r] iff
   ///   idx[r] != skip  &&  !(lower[r] >= bound)
   /// compacting idx/lower in place (stable) and tracking the minimal-bound
   /// survivor. `skip` is the just-visited candidate (pass a value absent
@@ -150,8 +163,8 @@ struct SweepKernels {
                                               std::uint32_t skip,
                                               double bound);
 
-  /// Eliminate + compact for the lazy sweeps: same as above with the
-  /// approximation slack applied — keeps idx[r] iff
+  /// Eliminate + compact for the pivot phase of the lazy sweeps: same as
+  /// above with the approximation slack applied — keeps idx[r] iff
   ///   idx[r] != skip  &&  !(lower[r] * slack >= bound)
   /// — plus pivot bookkeeping: pivot_rank is indexed by candidate id
   /// (rank[id] >= 0 marks a pivot; gathered through idx), dropped pivots
@@ -213,6 +226,74 @@ SweepScratch& TlsSweepScratch();
 std::size_t FillIotaCountPivots(std::uint32_t* idx,
                                 const std::int32_t* pivot_rank,
                                 std::size_t n);
+
+/// --- The fixed-bound tail. ------------------------------------------------
+///
+/// Binary min-heap over the parallel idx/lower slabs [0, live), keyed on
+/// (lower, id): the root is the survivor the classic compaction pass would
+/// pick next (minimal bound, ties to the smallest id). The ids in the slice
+/// must be distinct. Both permute the slabs in place and allocate nothing.
+void HeapifyCandidates(std::uint32_t* idx, double* lower, std::size_t live);
+
+/// Removes the root of the heap over [0, live) (live > 0); the heap then
+/// occupies [0, live - 1).
+void PopCandidate(std::uint32_t* idx, double* lower, std::size_t live);
+
+/// Distance evaluations spent by `VisitFixedBoundTail`.
+struct SweepTailCounts {
+  std::uint64_t computations = 0;
+  std::uint64_t abandons = 0;
+};
+
+/// The last phase of every in-process LAESA sweep, entered once no pivot
+/// row is left to apply: [0, live) of idx/lower holds the survivors of the
+/// last eliminate-and-compact (or compact_seed) pass, and `best` the
+/// current top-k incumbents. Heapifies the survivors on (lower, id), then
+/// repeatedly takes the root, stops at the first root with
+/// `lower * slack >= kth` (kth = the k-th incumbent, +inf while fewer than
+/// k are held), and otherwise pops it and calls `evaluate(id, cap)` with
+/// cap = kth — the value is `DistanceBounded(query, id, cap)`, abandoned
+/// when `>= cap`, inserted into `best` under the strict-improvement rule
+/// otherwise.
+///
+/// This visits exactly the candidates, in exactly the order and under
+/// exactly the caps, of the classic loop that reruns
+/// `eliminate_and_compact*` after every visit: with no row left, bounds
+/// are fixed; kth only falls and `x * slack` is monotone for slack >= 1,
+/// so a candidate the classic pass eliminated would fail the root test at
+/// every later step too. The classic survivors are therefore exactly the
+/// unvisited candidates with `lower * slack < kth`, and its next visit —
+/// their minimum by (lower, id) — is the heap root whenever that root
+/// passes the test; when the root fails, every candidate does, and the
+/// classic loop would have emptied its slab. Sharded sweeps pack their
+/// shard segments to the front first: shards hold ascending contiguous id
+/// ranges, so the shard-order tie rule of their merge is the lowest global
+/// id as well.
+template <typename Evaluate>
+SweepTailCounts VisitFixedBoundTail(std::uint32_t* idx, double* lower,
+                                    std::size_t live, double slack,
+                                    std::size_t k,
+                                    std::vector<NeighborResult>& best,
+                                    Evaluate&& evaluate) {
+  HeapifyCandidates(idx, lower, live);
+  SweepTailCounts counts;
+  for (; live > 0; --live) {
+    const double kth = best.size() < k
+                           ? std::numeric_limits<double>::infinity()
+                           : best.back().distance;
+    if (lower[0] * slack >= kth) break;
+    const std::size_t id = idx[0];
+    PopCandidate(idx, lower, live);
+    const double d = evaluate(id, kth);
+    ++counts.computations;
+    if (d >= kth) {
+      ++counts.abandons;
+    } else {
+      InsertNeighborTopK(best, k, {id, d});
+    }
+  }
+  return counts;
+}
 
 /// --- Tombstone bitmaps (the mutable tier, search/mutable_laesa.h). -------
 ///

@@ -1343,68 +1343,6 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
   }
 }
 
-namespace {
-
-/// Static feed over parallel vectors — the one-shot batch entry point.
-class VectorSweepFeed : public SweepFeed {
- public:
-  VectorSweepFeed(const std::vector<std::string_view>& queries,
-                  const std::vector<std::size_t>& ks,
-                  const std::vector<const double*>& rows,
-                  std::vector<ServeResult>* out, std::vector<char>* bailed)
-      : queries_(queries), ks_(ks), rows_(rows), out_(out), bailed_(bailed) {}
-
-  bool Next(SweepJob* out) override {
-    if (next_ >= queries_.size()) return false;
-    out->query = queries_[next_];
-    out->k = ks_[next_];
-    out->row = rows_[next_];
-    out->tag = next_;
-    ++next_;
-    return true;
-  }
-  bool Finished() override { return next_ >= queries_.size(); }
-  void Deliver(std::uint64_t tag, ServeResult res, bool bailed) override {
-    (*out_)[tag] = std::move(res);
-    (*bailed_)[tag] = bailed ? 1 : 0;
-  }
-
- private:
-  const std::vector<std::string_view>& queries_;
-  const std::vector<std::size_t>& ks_;
-  const std::vector<const double*>& rows_;
-  std::vector<ServeResult>* out_;
-  std::vector<char>* bailed_;
-  std::size_t next_ = 0;
-};
-
-}  // namespace
-
-std::vector<ServeResult> ServeRouter::KNearestManyWithRows(
-    const std::vector<std::string_view>& queries,
-    const std::vector<std::size_t>& ks, const std::vector<const double*>& rows,
-    std::size_t max_concurrent) {
-  const std::size_t n = queries.size();
-  if (ks.size() != n || rows.size() != n) {
-    throw std::invalid_argument(
-        "ServeRouter::KNearestManyWithRows: queries/ks/rows sizes differ");
-  }
-  std::vector<ServeResult> out(n);
-  if (n == 0) return out;
-  std::vector<char> bailed(n, 0);
-  VectorSweepFeed feed(queries, ks, rows, &out, &bailed);
-  DriveSweeps(feed, max_concurrent);
-
-  // Robust reruns: everything the fast path refused or abandoned. Each
-  // gets a fresh context and query id — the bailed sweep's slots were
-  // already retired — and the full retry/failover/hedging treatment.
-  std::shared_lock<std::shared_mutex> world(world_mu_);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (bailed[i]) out[i] = RobustRowQuery(queries[i], ks[i], rows[i]);
-  }
-  return out;
-}
-
 bool ServeRouter::PingAll() {
   std::lock_guard<std::mutex> lock(respawn_mu_);
   return PingAllLocked();

@@ -314,28 +314,22 @@ class ServeRouter {
   /// context switches per exchange — on a single core this, not parallel
   /// compute, is where concurrent throughput comes from.
   ///
+  /// Jobs are pulled from `feed` as sweeps settle (admission refills
+  /// mid-flight, so rounds stay full instead of draining to a batch
+  /// tail), each result is delivered through the feed, and the call
+  /// returns once the feed is Finished and every admitted sweep has
+  /// settled. `max_concurrent` caps in-flight sweeps (0 = a default cap).
+  /// ServeEngine runs this on a dedicated thread.
+  ///
   /// Exactness: per query the driver replays the exact KNearestWithRow
   /// exchange sequence (begin, eval, step, in the same order with the
   /// same payloads), so healthy results are bit-identical to it. The fast
   /// path requires a fully healthy world (every replica alive, no
-  /// mutations pending); a query that cannot run on it — or that hits
-  /// any anomaly mid-sweep (timeout, death, byte disagreement, deadline)
-  /// — abandons its sweep slots and reruns through the robust per-query
-  /// path (retries, failover, hedging, partial flagging), whose result
-  /// is returned instead. `rows[i]` must hold `num_pivots()` entries for
-  /// `queries[i]`; `max_concurrent` caps simultaneously driven sweeps
-  /// (0 = all). Throws std::invalid_argument on mismatched input sizes.
-  std::vector<ServeResult> KNearestManyWithRows(
-      const std::vector<std::string_view>& queries,
-      const std::vector<std::size_t>& ks,
-      const std::vector<const double*>& rows, std::size_t max_concurrent = 0);
-
-  /// The continuous form of the multiplexed driver: pulls jobs from
-  /// `feed` as sweeps settle (admission refills mid-flight, so rounds
-  /// stay full instead of draining to a batch tail), delivers each result
-  /// through the feed, and returns once the feed is Finished and every
-  /// admitted sweep has settled. `max_concurrent` caps in-flight sweeps
-  /// (0 = a default cap). ServeEngine runs this on a dedicated thread.
+  /// mutations pending); a query that hits any anomaly mid-sweep
+  /// (timeout, death, byte disagreement, deadline) abandons its sweep
+  /// slots and is delivered back `bailed`, for its caller to rerun
+  /// through the robust per-query path (retries, failover, hedging,
+  /// partial flagging).
   ///
   /// World-lock fairness: the driver holds the world lock shared while
   /// sweeps are in flight, which (on a reader-preferring rwlock) would

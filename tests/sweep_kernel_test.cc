@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -338,6 +339,36 @@ TEST(SweepKernelTest, CompactSeedMatchesScalarBitwise) {
                     0)
               << ctx;
         }
+      }
+    }
+  }
+}
+
+TEST(SweepKernelTest, CandidateHeapPopsInBoundThenIdOrder) {
+  // The fixed-bound tail's heap must yield (lower, id) order exactly —
+  // coarse bounds force many ties, which must fall to the smaller id.
+  std::mt19937_64 rng(0xBEEF);
+  for (std::size_t live : kLiveCounts) {
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<std::pair<double, std::uint32_t>> want(live);
+      for (std::size_t r = 0; r < live; ++r) {
+        want[r].first = trial % 2 ? static_cast<double>(rng() % 4)
+                                  : static_cast<double>(rng() % 1000) / 7.0;
+        want[r].second = static_cast<std::uint32_t>(3 * r + trial);
+      }
+      std::shuffle(want.begin(), want.end(), rng);
+      std::vector<std::uint32_t> idx(live);
+      std::vector<double> lower(live);
+      for (std::size_t r = 0; r < live; ++r) {
+        lower[r] = want[r].first;
+        idx[r] = want[r].second;
+      }
+      std::sort(want.begin(), want.end());
+      HeapifyCandidates(idx.data(), lower.data(), live);
+      for (std::size_t i = 0; i < live; ++i) {
+        ASSERT_EQ(idx[0], want[i].second) << "live=" << live << " pop " << i;
+        ASSERT_EQ(lower[0], want[i].first) << "live=" << live << " pop " << i;
+        PopCandidate(idx.data(), lower.data(), live - i);
       }
     }
   }
