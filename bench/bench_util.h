@@ -5,8 +5,14 @@
 // binary reproduces one table or figure of the paper; sizes default to a
 // laptop-friendly fraction of the paper's and scale with CNED_SCALE (see
 // common/config.h). Set CNED_SCALE=10 to approach the paper's sizes.
+// Also the serving benches' scratch directory, percentile and exactness
+// helpers.
 
+#include <stdlib.h>
+
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -16,6 +22,7 @@
 #include "datasets/dictionary_gen.h"
 #include "datasets/digit_contours.h"
 #include "datasets/dna_gen.h"
+#include "serve/router.h"
 
 namespace cned::bench {
 
@@ -61,6 +68,51 @@ inline void Banner(const std::string& title, const std::string& paper_ref) {
             << "scale=" << Config::Scale() << " seed=" << Config::Seed()
             << "  (set CNED_SCALE / CNED_SEED to adjust)\n"
             << "==========================================================\n";
+}
+
+/// A fresh directory under /tmp (a serving snapshot's home), removed with
+/// its contents on destruction. `path` is empty if creation failed.
+struct TempDir {
+  std::string path;
+  TempDir() {
+    char tmpl[] = "/tmp/cned_bench_XXXXXX";
+    const char* p = mkdtemp(tmpl);
+    if (p != nullptr) path = p;
+  }
+  ~TempDir() {
+    if (!path.empty()) std::filesystem::remove_all(path);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+};
+
+/// The p-quantile (p in [0, 1]) of `v` by nearest rank; 0 when empty.
+inline double Percentile(std::vector<double> v, double p) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const std::size_t i =
+      std::min(v.size() - 1,
+               static_cast<std::size_t>(p * static_cast<double>(v.size())));
+  return v[i];
+}
+
+/// True when a served answer is healthy (not partial, not shed, no missing
+/// shard) and bit-identical to the in-process reference: neighbours,
+/// distances AND QueryStats.
+inline bool Identical(const ServeResult& got,
+                      const std::vector<NeighborResult>& want,
+                      const QueryStats& want_stats) {
+  if (got.partial || got.shed || !got.missing_shards.empty() ||
+      got.neighbors.size() != want.size() || !(got.stats == want_stats)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (got.neighbors[i].index != want[i].index ||
+        got.neighbors[i].distance != want[i].distance) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace cned::bench

@@ -3,9 +3,10 @@
 // on a fig3-style dictionary workload.
 //
 // Measured:
-//   * per-query latency (p50/p99) of the distributed lazy path at each
-//     worker count (unreplicated, R=1), against the in-process baseline —
-//     the IPC round-trip cost of the scatter/gather sweep;
+//   * per-query latency (p50/p99) of the served pivot-row path at each
+//     worker count (unreplicated, R=1), against the in-process pivot-row
+//     baseline (ComputePivotRow + KNearestWithPivotRow) — the IPC
+//     round-trip cost of the scatter/gather sweep;
 //   * the same with one deliberately slow shard (an injected per-step
 //     delay), showing how a straggler stretches the tail while results
 //     stay exact;
@@ -18,8 +19,8 @@
 // Contracts checked (CI greps the booleans):
 //   * "identical_results": every healthy distributed answer is
 //     bit-identical — neighbours, distances AND QueryStats — to the
-//     in-process index, at every worker count, at R=2, and under the
-//     slow shard;
+//     in-process pivot-row path, at every worker count, at R=2, and under
+//     the slow shard;
 //   * "degraded_flagged": the crashed-shard query reports partial=true
 //     and names the missing shard;
 //   * "failover_exact": the query whose primary is killed mid-sweep
@@ -33,14 +34,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include <stdlib.h>
 
 #include "bench/bench_util.h"
 #include "common/config.h"
@@ -56,40 +55,9 @@
 namespace cned {
 namespace {
 
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/cned_mdist_XXXXXX";
-    char* p = mkdtemp(tmpl);
-    path = p != nullptr ? p : "";
-  }
-  ~TempDir() {
-    if (!path.empty()) std::filesystem::remove_all(path);
-  }
-};
-
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t i = std::min(
-      v.size() - 1, static_cast<std::size_t>(p * static_cast<double>(v.size())));
-  return v[i];
-}
-
-bool Identical(const ServeResult& got, const std::vector<NeighborResult>& want,
-               const QueryStats& want_stats) {
-  if (got.partial || !got.missing_shards.empty() ||
-      got.neighbors.size() != want.size() || !(got.stats == want_stats)) {
-    return false;
-  }
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    if (got.neighbors[i].index != want[i].index ||
-        got.neighbors[i].distance != want[i].distance) {
-      return false;
-    }
-  }
-  return true;
-}
+using bench::Identical;
+using bench::Percentile;
+using bench::TempDir;
 
 int Run() {
   std::ostream& log = std::cerr;
@@ -131,16 +99,19 @@ int Run() {
     TempDir dir;
     SaveServingSnapshot(index, dir.path);
 
-    // Reference answers + in-process latency (measured once, at S=4's
-    // build — any shard count gives the identical sweep).
+    // Reference answers + in-process latency of the same pivot-row path
+    // (reported at S=4's build — any shard count gives the identical
+    // sweep).
     std::vector<std::vector<NeighborResult>> want(queries.size());
     std::vector<QueryStats> want_stats(queries.size());
     std::vector<double> inproc_samples;
+    std::vector<double> row(index.pivot_count());
     for (int rep = 0; rep < reps; ++rep) {
       for (std::size_t i = 0; i < queries.size(); ++i) {
         QueryStats st;
         Stopwatch w;
-        auto r = index.KNearest(queries[i], k, &st);
+        index.ComputePivotRow(queries[i], row.data(), &st);
+        auto r = index.KNearestWithPivotRow(queries[i], k, row.data(), &st);
         inproc_samples.push_back(w.Seconds() * 1e3);
         want[i] = std::move(r);
         want_stats[i] = st;

@@ -39,7 +39,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <functional>
 #include <iostream>
 #include <mutex>
@@ -47,7 +46,6 @@
 #include <thread>
 #include <vector>
 
-#include <stdlib.h>
 
 #include "bench/bench_util.h"
 #include "common/config.h"
@@ -65,40 +63,9 @@
 namespace cned {
 namespace {
 
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/cned_mserv_XXXXXX";
-    char* p = mkdtemp(tmpl);
-    path = p != nullptr ? p : "";
-  }
-  ~TempDir() {
-    if (!path.empty()) std::filesystem::remove_all(path);
-  }
-};
-
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t i = std::min(
-      v.size() - 1, static_cast<std::size_t>(p * static_cast<double>(v.size())));
-  return v[i];
-}
-
-bool Identical(const ServeResult& got, const std::vector<NeighborResult>& want,
-               const QueryStats& want_stats) {
-  if (got.partial || got.shed || !got.missing_shards.empty() ||
-      got.neighbors.size() != want.size() || !(got.stats == want_stats)) {
-    return false;
-  }
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    if (got.neighbors[i].index != want[i].index ||
-        got.neighbors[i].distance != want[i].distance) {
-      return false;
-    }
-  }
-  return true;
-}
+using bench::Identical;
+using bench::Percentile;
+using bench::TempDir;
 
 /// One closed-loop phase: `clients` threads each issue `per_client`
 /// queries back to back through `call`, which returns the ServeResult for

@@ -59,6 +59,7 @@ Laesa::Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
 void Laesa::BuildTable() {
   const PrototypeStore& protos = store();
   const std::size_t n = protos.size();
+  CheckSweepPrototypeCount(n, "Laesa");
   pivot_rank_.assign(n, -1);
   for (std::size_t p = 0; p < pivots_.size(); ++p) {
     pivot_rank_[pivots_[p]] = static_cast<std::int32_t>(p);
@@ -475,6 +476,7 @@ Laesa Laesa::Load(std::istream& in, PrototypeStoreRef prototypes,
     in >> p;
     if (!in || p >= n) throw std::runtime_error("Laesa::Load: bad pivot");
   }
+  CheckSweepPrototypeCount(n, "Laesa::Load");
   index.pivot_rank_.assign(n, -1);
   for (std::size_t p = 0; p < np; ++p) {
     index.pivot_rank_[index.pivots_[p]] = static_cast<std::int32_t>(p);
@@ -582,6 +584,7 @@ Laesa Laesa::Load(const std::string& path, PrototypeStoreRef prototypes,
   index.pivots_.resize(np);
   reader.Align();
   reader.Raw(index.pivots_.data(), np * sizeof(std::uint64_t));
+  CheckSweepPrototypeCount(n, "Laesa::Load");
   index.pivot_rank_.assign(n, -1);
   for (std::size_t p = 0; p < np; ++p) {
     if (index.pivots_[p] >= n) {
@@ -628,6 +631,7 @@ Laesa Laesa::Map(const std::string& path, PrototypeStoreRef prototypes,
   // `pivots()` API. The table — the O(pivots x N) bulk — stays a view.
   const std::uint64_t* pivots = reader.Array<std::uint64_t>(np);
   index.pivots_.assign(pivots, pivots + np);
+  CheckSweepPrototypeCount(n, "Laesa::Map");
   index.pivot_rank_.assign(n, -1);
   for (std::size_t p = 0; p < np; ++p) {
     if (index.pivots_[p] >= n) {

@@ -105,6 +105,7 @@ void ShardedLaesa::BuildTables() {
   const ShardedPrototypeStore& st = *store_;
   const std::size_t n = st.size();
   const std::size_t p_count = pivots_.size();
+  CheckSweepPrototypeCount(n, "ShardedLaesa");
   pivot_rank_.assign(n, -1);
   for (std::size_t p = 0; p < p_count; ++p) {
     if (pivot_rank_[pivots_[p]] >= 0) {
@@ -563,6 +564,7 @@ ShardedLaesa ShardedLaesa::Load(const std::string& path,
   index.pivots_.resize(np);
   reader.Align();
   reader.Raw(index.pivots_.data(), np * sizeof(std::uint64_t));
+  CheckSweepPrototypeCount(n, "ShardedLaesa::Load");
   index.pivot_rank_.assign(n, -1);
   for (std::size_t p = 0; p < np; ++p) {
     if (index.pivots_[p] >= n) {
@@ -626,6 +628,7 @@ ShardedLaesa ShardedLaesa::Map(const std::string& path,
   // API. The per-shard tables — the O(pivots x N) bulk — stay views.
   const std::uint64_t* pivots = reader.Array<std::uint64_t>(np);
   index.pivots_.assign(pivots, pivots + np);
+  CheckSweepPrototypeCount(n, "ShardedLaesa::Map");
   index.pivot_rank_.assign(n, -1);
   for (std::size_t p = 0; p < np; ++p) {
     if (index.pivots_[p] >= n) {

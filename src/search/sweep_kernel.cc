@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "common/cpu_features.h"
 #include "search/table_quant.h"  // HalfToDouble: the shared exact f16 decode
@@ -289,6 +291,15 @@ bool SetActiveSweepKernels(std::string_view name) {
 SweepScratch& TlsSweepScratch() {
   thread_local SweepScratch scratch;
   return scratch;
+}
+
+void CheckSweepPrototypeCount(std::size_t n, const char* who) {
+  if (n > kMaxSweepPrototypes) {
+    throw std::length_error(std::string(who) + ": " + std::to_string(n) +
+                            " prototypes exceed the sweep limit of " +
+                            std::to_string(kMaxSweepPrototypes) +
+                            " (32-bit candidate ids)");
+  }
 }
 
 std::size_t FillIotaCountPivots(std::uint32_t* idx,

@@ -67,6 +67,19 @@ namespace cned {
 /// "No candidate": the sentinel `next`/`next_pivot` value.
 constexpr std::size_t kSweepNone = static_cast<std::size_t>(-1);
 
+/// The most prototypes one sweep index may hold. Candidate slabs store
+/// u32 ids, the served `kStepRow` frame carries its `skip` id as u32 with
+/// 0xFFFFFFFF as "none", and the SIMD gathers index with signed 32-bit
+/// lanes (the layout contract above) — so every id must stay below 2^31.
+constexpr std::size_t kMaxSweepPrototypes = std::size_t{1} << 31;
+
+/// Throws std::length_error naming `who` when `n` exceeds
+/// kMaxSweepPrototypes: "<who>: <n> prototypes exceed the sweep limit of
+/// 2147483648 (32-bit candidate ids)". The Laesa and ShardedLaesa builds
+/// and loads, the router's manifest load and the shard replica's header
+/// check call it before they size a candidate table by `n`.
+void CheckSweepPrototypeCount(std::size_t n, const char* who);
+
 /// Outcome of one eliminate-and-compact pass over a packed candidate slice.
 struct SweepCompactResult {
   /// Survivors now packed in [0, live) of the idx/lower slice.

@@ -63,11 +63,12 @@ struct ServeEngineOptions {
 ///
 /// Exactness: the driver replays the single-query exchange bit-exactly
 /// per sweep and charges the row evaluations to each query's stats
-/// exactly as `KNearestBatch` does; row entries are independent per
-/// (query, pivot) pair — so every non-shed result is bit-identical
-/// (neighbours, distances AND stats) to calling
-/// `ServeRouter::KNearestBatch` with the same query, regardless of how
-/// claims formed or rows were deduplicated.
+/// exactly as `ServeRouter::KNearest` does; row entries are independent
+/// per (query, pivot) pair — so every non-shed result is bit-identical
+/// (neighbours, distances AND stats) to calling `ServeRouter::KNearest`
+/// with the same query, and to the in-process `ComputePivotRow` +
+/// `KNearestWithPivotRow`, regardless of how claims formed or rows were
+/// deduplicated.
 ///
 /// Degraded worlds: when the router's fast gate fails (a dead replica, a
 /// tombstone, delta entries), the driver hands queries straight back and

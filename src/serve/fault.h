@@ -28,9 +28,10 @@ namespace cned {
 ///              replica — note a directive without this key fires on
 ///              *every* member of a replica group, since state-machine
 ///              replication feeds all members the same request sequence)
-///   op=NAME    only fire on requests of this class: ping, begin (both
-///              BeginLazy and BeginRow), eval, step (both Step and
-///              StepRow) (default: any request)
+///   op=NAME    only fire on requests of this class: ping, begin
+///              (kBeginRow), eval, step (kStepRow), insert, remove, scan
+///              (kDeltaScan) (default: any request; kEndSweep is never
+///              counted)
 ///   nth=K      fire exactly once, on the K-th matching request (1-based)
 ///   every=K    fire on every K-th matching request
 ///   ms=T       delay duration (delay only; default 0)
@@ -82,7 +83,7 @@ class FaultInjector {
 
   /// Advances every matching directive's counter and merges the actions
   /// that fire. `op` is the request class name ("ping", "begin", "eval",
-  /// "step").
+  /// "step", ...; see the grammar above).
   Action OnRequest(const std::string& op);
 
  private:

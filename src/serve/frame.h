@@ -58,13 +58,16 @@ inline constexpr std::uint32_t kMaxFramePayload = 1u << 30;
 /// which is fire-and-forget: it retires per-query worker state after the
 /// router has already merged the sweep, so a reply would only add a
 /// round trip with nothing to gate on.
+///
+/// Values 2 and 5 are retired (they carried a second, lazy sweep protocol)
+/// and are never reassigned: they still pass the frame layer, and a worker
+/// answers them with kError like any request it does not serve.
 enum class FrameType : std::uint32_t {
   kPing = 1,       ///< health check; reply: u64 shard id, u64 replica id
-  kBeginLazy = 2,  ///< start a lazy sweep: str query
-  kBeginRow = 3,   ///< start a row sweep: str query, f64 seed_bound, row
+  kBeginRow = 3,   ///< start a row sweep: str query, f64 seed_bound, u64 np,
+                   ///< np x f64 row -> compact (serve/wire.h)
   kEval = 4,       ///< evaluate: u64 global id, f64 cap -> f64 distance
-  kStep = 5,       ///< lazy visit pass: skip/rank/d/slack/bound -> compact
-  kStepRow = 6,    ///< row visit pass: skip/bound -> compact
+  kStepRow = 6,    ///< row visit pass: u32 skip, f64 bound -> compact
   kShutdown = 7,   ///< clean worker exit; empty reply, then close
   kReply = 8,      ///< successful response (payload per request type)
   kError = 9,      ///< worker-side exception; payload: str message

@@ -52,6 +52,7 @@ ShardReplica::ShardReplica(const std::string& store_path,
   shard_id_ = counts[3];
   const std::uint64_t n_s = counts[4];
   base_ = counts[5];
+  CheckSweepPrototypeCount(n_total_, "ShardReplica");
   if (shard_id_ >= shard_count_ || base_ > n_total_ ||
       n_s > n_total_ - base_) {
     throw std::runtime_error("ShardReplica: inconsistent shard header (" +
@@ -78,9 +79,8 @@ ShardReplica::ShardReplica(const std::string& store_path,
   }
   const std::uint64_t* pivots = reader.Array<std::uint64_t>(np);
   pivots_.assign(pivots, pivots + np);
-  // Full-length rank array, exactly as the in-process index keeps it: the
-  // flagged kernel gathers rank[global id] for ids in this segment, and the
-  // seed kernel reads the slice at base_ — both stay in bounds.
+  // Full-length rank array, exactly as the in-process index keeps it; the
+  // seed compaction reads this segment's slice of it at base_.
   pivot_rank_.assign(n_total_, -1);
   for (std::size_t p = 0; p < np; ++p) {
     if (pivots_[p] >= n_total_ || pivot_rank_[pivots_[p]] >= 0) {
@@ -130,50 +130,7 @@ const ShardReplica::SweepSlot& ShardReplica::SlotOf(std::uint32_t qid) const {
   return *it->second;
 }
 
-std::size_t ShardReplica::live(std::uint32_t qid) const {
-  return SlotOf(qid).live;
-}
-
-std::size_t ShardReplica::live_pivots(std::uint32_t qid) const {
-  return SlotOf(qid).live_pivots;
-}
-
 void ShardReplica::EndSweep(std::uint32_t qid) { sweeps_.erase(qid); }
-
-SweepCompactResult ShardReplica::BeginLazy(std::uint32_t qid,
-                                           std::string_view query,
-                                           bool masked_start) {
-  SweepSlot& slot = NewSlot(qid);
-  slot.query.assign(query);
-  const std::size_t n_s = store_.size();
-  distance_->LengthLowerBounds(slot.query.size(), store_.lengths_data(), n_s,
-                               slot.lower.data());
-  slot.live_pivots = 0;
-  for (std::size_t j = 0; j < n_s; ++j) {
-    slot.idx.data()[j] = static_cast<std::uint32_t>(base_ + j);
-    slot.live_pivots += pivot_rank_[base_ + j] >= 0 ? 1 : 0;
-  }
-  slot.live = n_s;
-  SweepCompactResult pass;
-  pass.live = slot.live;
-  if (!masked_start) return pass;  // legacy start: router begins at pivot 0
-  // Mask this shard's base tombstones out of the slab before anything is
-  // visited, and hand the router this segment's minimal-bound survivors so
-  // it can choose a live starting candidate across shards (a dead global
-  // pivot 0 must not be visited anywhere).
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  if (base_dead_ > 0) {
-    ApplyTombstoneMask(tombs_.data(), n_s, slot.lower.data());
-  }
-  const SweepKernels& kern = ActiveSweepKernels();
-  pass = kern.eliminate_and_compact_flagged(slot.idx.data(), slot.lower.data(),
-                                            pivot_rank_.data(), slot.live,
-                                            /*skip=*/0xFFFFFFFFu,
-                                            /*slack=*/1.0, kInf);
-  slot.live = pass.live;
-  slot.live_pivots -= pass.pivots_died;
-  return pass;
-}
 
 bool ShardReplica::Insert(std::uint64_t id, std::string_view s) {
   // Per-shard ids are assigned (and replayed) in ascending order, so a
@@ -262,8 +219,6 @@ SweepCompactResult ShardReplica::BeginRow(std::uint32_t qid,
       static_cast<std::uint32_t>(base_), seed_bound, slot.idx.data(),
       slot.lower.data());
   slot.live = out.live;
-  slot.live_pivots = 0;  // the row sweep's adaptive phase never revisits
-                         // pivots
   return out;
 }
 
@@ -275,25 +230,6 @@ double ShardReplica::Eval(std::uint32_t qid, std::size_t global_id,
   const SweepSlot& slot = SlotOf(qid);
   return distance_->DistanceBounded(slot.query, store_.view(global_id - base_),
                                     cap);
-}
-
-SweepCompactResult ShardReplica::Step(std::uint32_t qid, std::uint32_t skip,
-                                      std::int32_t rank, double d,
-                                      double slack, double bound) {
-  SweepSlot& slot = SlotOf(qid);
-  const SweepKernels& kern = ActiveSweepKernels();
-  if (rank >= 0) {
-    QuantUpdateLowerPacked(kern, table_view(),
-                           static_cast<std::size_t>(rank), store_.size(), d,
-                           slot.idx.data(), static_cast<std::uint32_t>(base_),
-                           slot.lower.data(), slot.live);
-  }
-  const SweepCompactResult out = kern.eliminate_and_compact_flagged(
-      slot.idx.data(), slot.lower.data(), pivot_rank_.data(), slot.live, skip,
-      slack, bound);
-  slot.live = out.live;
-  slot.live_pivots -= out.pivots_died;
-  return out;
 }
 
 SweepCompactResult ShardReplica::StepRow(std::uint32_t qid, std::uint32_t skip,

@@ -22,19 +22,20 @@ namespace cned {
 /// prototypes, its slice of the pivot table, and that shard's segment of
 /// the candidate slabs.
 ///
-/// A replica is the per-shard loop body of `ShardedLaesa::Sweep` /
-/// `SweepWithRow` cut out and given its own state. It runs exactly the
-/// same dispatched kernels over exactly the same per-shard values
+/// A replica is the per-shard loop body of `ShardedLaesa::SweepWithRow`
+/// (the pivot-row sweep) cut out and given its own state. It runs exactly
+/// the same dispatched kernels over exactly the same per-shard values
 /// (sweep_kernel.h), and the router merges its `SweepCompactResult`s the
 /// same way the in-process index merges its per-shard passes — which is
-/// what makes a healthy distributed query bit-identical (neighbours,
-/// distances AND QueryStats) to the in-process `ShardedLaesa`.
+/// what makes a healthy served query bit-identical (neighbours, distances
+/// AND QueryStats) to the in-process `ComputePivotRow` +
+/// `KNearestWithPivotRow`. The lazy sweep runs only in process.
 ///
 /// Multiplexing: sweep state lives in per-query slots keyed by the frame
 /// layer's query id, so one replica serves any number of interleaved
 /// sweeps over a single connection. Each slot is an independent copy of
 /// the segment slabs — a sweep's trajectory is a pure function of its own
-/// (Begin*, Step*...) sequence, untouched by whatever other queries do in
+/// (BeginRow, StepRow...) sequence, untouched by whatever other queries do in
 /// between — which is exactly what keeps interleaved queries bit-identical
 /// to running them back to back. Mutable-tier state (delta, tombstones) is
 /// shared across slots; the router's writer lock guarantees mutations
@@ -48,7 +49,8 @@ class ShardReplica {
  public:
   /// Maps shard files written by `SaveServingSnapshot`. Throws
   /// std::runtime_error on checksum or validation failure, or when the two
-  /// files disagree about the deployment shape.
+  /// files disagree about the deployment shape; std::length_error when the
+  /// header's total prototype count exceeds kMaxSweepPrototypes.
   ShardReplica(const std::string& store_path, const std::string& index_path,
                const std::string& distance_name);
 
@@ -62,34 +64,13 @@ class ShardReplica {
   /// carries quantized tables; v1 is always f64).
   TablePrecision table_precision() const { return precision_; }
 
-  /// Candidates still live in query `qid`'s slot. Throws std::out_of_range
-  /// for an unknown qid.
-  std::size_t live(std::uint32_t qid) const;
-  /// Live candidates of `qid`'s slot that are pivots. The router sums
-  /// these across shards; when a shard dies its contribution drops out of
-  /// the sum automatically, keeping the global pivot accounting exact
-  /// under degrade.
-  std::size_t live_pivots(std::uint32_t qid) const;
-
   /// Active sweep slots (monitoring; the overflow guard's input).
   std::size_t sweep_count() const { return sweeps_.size(); }
 
-  /// Hard cap on concurrent sweep slots per replica: a Begin* past it
+  /// Hard cap on concurrent sweep slots per replica: a BeginRow past it
   /// throws (the worker answers kError) instead of letting a router that
   /// leaks query ids grow the worker without bound.
   static constexpr std::size_t kMaxSweeps = 4096;
-
-  /// Starts a lazy sweep in `qid`'s slot (created, or reset if the id is
-  /// being reused): length lower bounds over the segment, all candidates
-  /// live. With `masked_start` false this is the legacy path: the returned
-  /// pass only carries `live` (the router starts at the first pivot),
-  /// bit-identical to the pre-mutability protocol. With it true the
-  /// shard's base tombstones are masked out by an initial compaction at
-  /// bound=+inf (sweep_kernel.h) and the returned pass carries this
-  /// segment's minimal-bound survivors so the router can pick a live start
-  /// across shards.
-  SweepCompactResult BeginLazy(std::uint32_t qid, std::string_view query,
-                               bool masked_start);
 
   /// Retires `qid`'s slot. Idempotent — the router's end-of-sweep frame is
   /// fire-and-forget, so a duplicate or a never-begun id is a no-op.
@@ -134,16 +115,9 @@ class ShardReplica {
   /// outside the segment or an unknown qid.
   double Eval(std::uint32_t qid, std::size_t global_id, double cap) const;
 
-  /// One lazy visit pass on `qid`'s slot: if `rank` >= 0 the visited
-  /// candidate was pivot `rank`, so its table row tightens the segment's
-  /// bounds first; then eliminate-and-compact against `bound` with
-  /// `slack`, dropping `skip` (the visited candidate). Mutates slot state
-  /// — not idempotent. Throws std::out_of_range for an unknown qid.
-  SweepCompactResult Step(std::uint32_t qid, std::uint32_t skip,
-                          std::int32_t rank, double d, double slack,
-                          double bound);
-
-  /// One row-sweep visit pass: eliminate-and-compact only.
+  /// One row-sweep visit pass on `qid`'s slot: eliminate-and-compact
+  /// against `bound`, dropping `skip` (the visited candidate). Mutates slot
+  /// state — not idempotent. Throws std::out_of_range for an unknown qid.
   SweepCompactResult StepRow(std::uint32_t qid, std::uint32_t skip,
                              double bound);
 
@@ -184,7 +158,6 @@ class ShardReplica {
     AlignedBuffer<std::uint32_t> idx;
     AlignedBuffer<double> lower;
     std::size_t live = 0;
-    std::size_t live_pivots = 0;
   };
   SweepSlot& NewSlot(std::uint32_t qid);
   SweepSlot& SlotOf(std::uint32_t qid);

@@ -81,6 +81,158 @@ constexpr std::uint32_t kReplyType =
 
 }  // namespace
 
+// The distributed `ShardedLaesa::SweepWithRow`: every decision of the row
+// sweep, in one place — read side by side with sharded_laesa.cc. Both
+// drivers run it and keep only their transport: `QueryRow` blocks on
+// Broadcast/GroupEval (retries, failover, hedging, the delta phase),
+// `DriveSweeps` multiplexes buffered legs and bails to the robust path on
+// any anomaly. Identical decisions on identical values in identical
+// order, so both stay bit-identical to the in-process pivot-row path.
+struct ServeRouter::RowSweep {
+  /// One shard's view of the sweep, mirrored from its primary's replies.
+  struct ShardView {
+    bool active = true;
+    SweepCompactResult last;
+  };
+
+  const ServeRouter* router = nullptr;
+  std::size_t k = 0;
+  std::vector<ShardView> views;
+  std::vector<NeighborResult> best;
+  ServeResult res;
+  std::uint64_t computations = 0, abandons = 0;
+  /// The candidate being visited and the cap its evaluation runs under.
+  std::size_t cand = kSweepNone;
+  double cap = 0.0;
+
+  double kth() const { return best.size() < k ? kInf : best.back().distance; }
+
+  /// Clamps k to the live set. Unless it clamps to 0 (returns false:
+  /// nothing to sweep), charges the row's evaluations, as the in-process
+  /// batch engine does, and seeds the incumbents from the row — ties
+  /// admitted, since the row is already paid for. A tombstoned pivot's
+  /// entry still tightens every worker's bounds (the row is broadcast
+  /// whole, an admissible use), but it never becomes an incumbent.
+  bool Seed(const ServeRouter& r, std::size_t want_k, const double* row) {
+    router = &r;
+    std::size_t live = r.n_ - r.base_dead_total_;
+    for (const std::size_t d : r.delta_live_) live += d;
+    k = std::min(want_k, live);
+    if (k == 0) return false;
+    const std::size_t np = r.pivots_.size();
+    views.assign(r.shard_sizes_.size(), ShardView());
+    res.stats.distance_computations += np;
+    res.stats.pivot_computations += np;
+    best.reserve(k + 1);
+    for (std::size_t p = 0; p < np; ++p) {
+      if (!r.base_tombs_.empty() &&
+          TestTombstone(r.base_tombs_.data(), r.pivots_[p])) {
+        continue;
+      }
+      InsertNeighborTopK(best, k, {r.pivots_[p], row[p]}, /*admit_ties=*/true);
+    }
+    return true;
+  }
+
+  /// kBeginRow: the query, the seed bound, the whole row.
+  PayloadWriter BeginPayload(std::string_view query, const double* row) const {
+    const std::size_t np = router->pivots_.size();
+    PayloadWriter w;
+    w.Str(query);
+    w.F64(kth());
+    w.U64(np);
+    w.Raw(row, np * sizeof(double));
+    return w;
+  }
+
+  /// Takes shard `s`'s driving begin/step reply. False, with the view
+  /// untouched, when it does not decode to a pass over that shard's own
+  /// segment.
+  bool Absorb(std::size_t s, const std::vector<char>& reply) {
+    PayloadReader r(reply);
+    const SweepCompactResult pass = DecodeCompact(r);
+    const bool in_segment =
+        pass.next == kSweepNone ||
+        (pass.live > 0 && pass.next >= router->bases_[s] &&
+         pass.next < router->bases_[s + 1]);
+    if (!r.Done() || !in_segment || pass.live > router->shard_sizes_[s]) {
+      return false;
+    }
+    views[s].last = pass;
+    return true;
+  }
+
+  /// The next candidate: the minimal-key survivor over the active shards'
+  /// last passes, merged in shard order with strict '<' — the lowest
+  /// global id wins ties, exactly as in process. False when none is left.
+  bool SelectNext() {
+    cand = kSweepNone;
+    double key = kInf;
+    for (const ShardView& v : views) {
+      if (v.active && v.last.next != kSweepNone && v.last.next_key < key) {
+        key = v.last.next_key;
+        cand = v.last.next;
+      }
+    }
+    return cand != kSweepNone;
+  }
+
+  /// kEval for `cand`, capped by the current k-th incumbent.
+  PayloadWriter EvalPayload() {
+    cap = kth();
+    PayloadWriter w;
+    w.U64(cand);
+    w.F64(cap);
+    return w;
+  }
+
+  /// Takes the owner's eval reply as one visit: `d >= cap` abandons,
+  /// anything else is a strict-improvement top-k insert. False, with no
+  /// counter moved, when the reply does not decode.
+  bool AbsorbEval(const std::vector<char>& reply) {
+    PayloadReader r(reply);
+    const double d = r.F64();
+    if (!r.Done()) return false;
+    ++computations;
+    if (d >= cap) {
+      ++abandons;
+    } else {
+      InsertNeighborTopK(best, k, {cand, d});
+    }
+    return true;
+  }
+
+  /// kStepRow: drop the visited candidate, eliminate against the k-th
+  /// incumbent. The id fits in u32: the manifest load enforced
+  /// kMaxSweepPrototypes.
+  PayloadWriter StepPayload() const {
+    PayloadWriter w;
+    w.U32(static_cast<std::uint32_t>(cand));
+    w.F64(kth());
+    return w;
+  }
+
+  /// Shard `s` leaves the sweep; the answer becomes partial.
+  void Drop(std::size_t s) {
+    views[s].active = false;
+    res.missing_shards.push_back(s);
+  }
+
+  /// The answer: the visit counters, missing shards ascending and unique.
+  ServeResult Finish() {
+    res.stats.distance_computations += computations;
+    res.stats.bounded_abandons += abandons;
+    std::sort(res.missing_shards.begin(), res.missing_shards.end());
+    res.missing_shards.erase(
+        std::unique(res.missing_shards.begin(), res.missing_shards.end()),
+        res.missing_shards.end());
+    res.partial = !res.missing_shards.empty();
+    res.stats.shards_degraded = res.missing_shards.size();
+    res.neighbors = std::move(best);
+    return std::move(res);
+  }
+};
+
 ServeRouter::ServeRouter(const std::string& snapshot_dir,
                          const ServeOptions& options)
     : distance_((ValidateServeOptions(options), MakeDistance(options.distance))),
@@ -94,6 +246,9 @@ ServeRouter::ServeRouter(const std::string& snapshot_dir,
   const auto counts =
       reader.Header(kRouterManifestMagic, kRouterManifestVersion);
   n_ = counts[0];
+  // Before anything is sized by n: sweep slabs and the StepRow skip id
+  // are 32-bit.
+  CheckSweepPrototypeCount(n_, "ServeRouter");
   const std::uint64_t shards = counts[1];
   const std::uint64_t np = counts[2];
   const std::uint64_t arena_bytes = counts[3];
@@ -118,12 +273,13 @@ ServeRouter::ServeRouter(const std::string& snapshot_dir,
   pivots_.resize(np);
   reader.Align();
   reader.Raw(pivots_.data(), np * sizeof(std::uint64_t));
-  pivot_rank_.assign(n_, -1);
-  for (std::size_t p = 0; p < np; ++p) {
-    if (pivots_[p] >= n_ || pivot_rank_[pivots_[p]] >= 0) {
+  {
+    std::vector<std::size_t> sorted = pivots_;
+    std::sort(sorted.begin(), sorted.end());
+    if (sorted.back() >= n_ ||
+        std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
       throw std::runtime_error("ServeRouter: bad manifest pivot ids");
     }
-    pivot_rank_[pivots_[p]] = static_cast<std::int32_t>(p);
   }
   reader.RequireArray(np, sizeof(std::uint64_t));
   std::vector<std::uint64_t> lens(np);
@@ -393,7 +549,7 @@ bool ServeRouter::EnsurePrimary(QueryCtx& ctx, std::size_t s,
   for (std::size_t r = 0; r < g.members.size(); ++r) {
     if (g.members[r].alive) {
       Promote(ctx, s, r);
-      if (res != nullptr) ++res->failovers;
+      ++res->failovers;
       return true;
     }
   }
@@ -514,13 +670,10 @@ bool ServeRouter::ControlSendRecv(std::size_t s, std::size_t r, FrameType type,
 
 void ServeRouter::Broadcast(QueryCtx& ctx, FrameType type,
                             const std::vector<char>& payload, bool retryable,
-                            int timeout_ms, std::int64_t deadline_ms,
-                            std::vector<ShardView>& views,
-                            std::vector<std::vector<char>>& replies,
-                            std::vector<std::size_t>& missing,
-                            ServeResult* res) {
-  const std::size_t shards = views.size();
+                            std::int64_t deadline_ms, RowSweep& sweep) {
+  const std::size_t shards = sweep.views.size();
   const std::size_t R = replicas_per_shard_;
+  const int timeout_ms = RemainingMs(deadline_ms);
   // Per (shard, member) scatter state, flat-indexed s * R + r.
   std::vector<std::uint32_t> sent_seq(shards * R, 0);
   std::vector<char> pending(shards * R, 0), good(shards * R, 0);
@@ -533,7 +686,7 @@ void ServeRouter::Broadcast(QueryCtx& ctx, FrameType type,
   // coalescing merges these frames with other queries' into fewer
   // syscalls.
   for (std::size_t s = 0; s < shards; ++s) {
-    if (!views[s].active) continue;
+    if (!sweep.views[s].active) continue;
     GroupCtx& g = ctx.groups[s];
     for (std::size_t r = 0; r < g.members.size(); ++r) {
       Participant& m = g.members[r];
@@ -588,9 +741,11 @@ void ServeRouter::Broadcast(QueryCtx& ctx, FrameType type,
   // must agree byte-for-byte or be evicted as corrupt; a failed primary
   // is replaced by the first standby that answered (whose slab state is
   // bit-identical by construction) — the failover that keeps the query
-  // exact and unflagged.
+  // exact and unflagged. The driving reply then updates the shard's view;
+  // one that does not decode leaves no quorum to promote on, so the shard
+  // sits the rest of this query out.
   for (std::size_t s = 0; s < shards; ++s) {
-    if (!views[s].active) continue;
+    if (!sweep.views[s].active) continue;
     GroupCtx& g = ctx.groups[s];
     std::size_t driver = g.members.size();
     if (good[s * R + g.primary]) {
@@ -604,23 +759,25 @@ void ServeRouter::Broadcast(QueryCtx& ctx, FrameType type,
       }
       if (driver < g.members.size()) {
         Promote(ctx, s, driver);
-        if (res != nullptr) ++res->failovers;
+        ++sweep.res.failovers;
       }
     }
     if (driver == g.members.size()) {
       // The whole replica group is gone: only now does the shard degrade.
-      views[s].active = false;
-      missing.push_back(s);
+      sweep.Drop(s);
       continue;
     }
     for (std::size_t r = 0; r < g.members.size(); ++r) {
       if (r == driver || !good[s * R + r]) continue;
       if (member_reply[s * R + r] != member_reply[s * R + driver]) {
         MarkDead(ctx, s, r);
-        if (res != nullptr) ++res->replicas_evicted;
+        ++sweep.res.replicas_evicted;
       }
     }
-    replies[s] = std::move(member_reply[s * R + driver]);
+    if (!sweep.Absorb(s, member_reply[s * R + driver])) {
+      MarkDead(ctx, s, driver);
+      sweep.Drop(s);
+    }
   }
 }
 
@@ -710,7 +867,7 @@ bool ServeRouter::GroupEval(QueryCtx& ctx, std::size_t s, FrameType type,
       if (stand.conn->Send(type, sseq, ctx.qid, payload.data(),
                            payload.size())) {
         s_pending = true;
-        if (res != nullptr) ++res->hedged_evals;
+        ++res->hedged_evals;
       } else {
         stand.conn->Cancel(sseq);
         MarkDead(ctx, s, stand_idx);
@@ -834,55 +991,13 @@ ServeResult ServeRouter::Nearest(std::string_view query) {
 }
 
 ServeResult ServeRouter::KNearest(std::string_view query, std::size_t k) {
-  // Shared world lock: N callers sweep concurrently; mutations (which
-  // take it exclusive) never interleave with a sweep.
-  std::shared_lock<std::shared_mutex> world(world_mu_);
-  MaybeRespawn();
-  QueryCtx ctx;
-  SnapshotCtx(&ctx);
-  ServeResult res = QueryLazy(ctx, query, k, /*slack=*/1.0);
-  EndSweeps(ctx);
-  return res;
-}
-
-std::vector<ServeResult> ServeRouter::NearestBatch(
-    const std::vector<std::string>& queries) {
-  return KNearestBatch(queries, 1);
-}
-
-std::vector<ServeResult> ServeRouter::KNearestBatch(
-    const std::vector<std::string>& queries, std::size_t k) {
-  std::vector<ServeResult> out;
-  out.reserve(queries.size());
-  const std::size_t np = pivots_.size();
-  std::vector<double> row(np);
-  for (const std::string& q : queries) {
-    std::shared_lock<std::shared_mutex> world(world_mu_);
-    // Respawn between queries: one lost group costs one partial answer,
-    // and revived replicas (re-mapped, checksum-verified) rejoin at the
-    // next query's begin.
-    MaybeRespawn();
-    QueryCtx ctx;
-    SnapshotCtx(&ctx);
-    // Pivot stage, router-side (counted inside QueryRow as the batch
-    // engine counts it).
-    for (std::size_t p = 0; p < np; ++p) {
-      row[p] = distance_->Distance(q, pivot_strings_[p]);
-    }
-    out.push_back(QueryRow(ctx, q, k, row.data()));
-    EndSweeps(ctx);
+  // Pivot stage, router-side from the manifest's pivot strings (immutable,
+  // so no lock): the same row the in-process `ComputePivotRow` evaluates.
+  std::vector<double> row(pivots_.size());
+  for (std::size_t p = 0; p < row.size(); ++p) {
+    row[p] = distance_->Distance(query, pivot_strings_[p]);
   }
-  return out;
-}
-
-ServeResult ServeRouter::RobustRowQuery(std::string_view query, std::size_t k,
-                                        const double* row) {
-  MaybeRespawn();
-  QueryCtx ctx;
-  SnapshotCtx(&ctx);
-  ServeResult res = QueryRow(ctx, query, k, row);
-  EndSweeps(ctx);
-  return res;
+  return KNearestWithRow(query, k, row);
 }
 
 ServeResult ServeRouter::KNearestWithRow(std::string_view query, std::size_t k,
@@ -891,8 +1006,17 @@ ServeResult ServeRouter::KNearestWithRow(std::string_view query, std::size_t k,
     throw std::invalid_argument(
         "ServeRouter::KNearestWithRow: row must have num_pivots() entries");
   }
+  // Shared world lock: N callers sweep concurrently; mutations (which
+  // take it exclusive) never interleave with a sweep. Respawn runs before
+  // the snapshot, so one lost group costs one partial answer and revived
+  // replicas (re-mapped, checksum-verified) rejoin at this query's begin.
   std::shared_lock<std::shared_mutex> world(world_mu_);
-  return RobustRowQuery(query, k, row.data());
+  MaybeRespawn();
+  QueryCtx ctx;
+  SnapshotCtx(&ctx);
+  ServeResult res = QueryRow(ctx, query, k, row.data());
+  EndSweeps(ctx);
+  return res;
 }
 
 bool ServeRouter::FastWorldLocked() const {
@@ -912,7 +1036,6 @@ bool ServeRouter::FastWorldLocked() const {
 void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
   const std::size_t wave = max_concurrent == 0 ? 16 : max_concurrent;
   const std::size_t shards = shard_sizes_.size();
-  const std::size_t np = pivots_.size();
 
   /// One outstanding request leg of a sweep's current phase.
   struct Leg {
@@ -922,20 +1045,14 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
     bool done = false;
     std::vector<char> payload;
   };
-  enum class St { kBegin, kEval, kStep, kDone, kBail };
+  enum class St { kBeginRow, kEval, kStepRow, kDone, kBail };
   struct Sweep {
     SweepJob job;
-    St st = St::kBegin;
-    std::size_t k = 0;
+    St st = St::kBeginRow;
     std::int64_t deadline = 0;
     QueryCtx ctx;
-    std::vector<ShardView> views;
-    std::vector<NeighborResult> best;
-    ServeResult res;
+    RowSweep state;
     std::vector<Leg> legs;
-    std::uint64_t computations = 0, abandons = 0;
-    std::size_t s_cand = kSweepNone;
-    double cap = 0.0;
     std::int64_t last_progress_ms = 0;
     bool settled = false;  // kDone or kBail, awaiting delivery
   };
@@ -963,6 +1080,16 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
     EncodeFrame(&buf, type, leg.seq, sw.ctx.qid, w.buf.data(), w.buf.size());
     sw.legs.push_back(leg);
   };
+  // Begins and steps go to every member of every group (state-machine
+  // replication); the fast gate guarantees all of them are alive.
+  auto enqueue_all = [&](Sweep& sw, FrameType type, const PayloadWriter& w) {
+    sw.legs.clear();
+    for (std::size_t s = 0; s < shards; ++s) {
+      for (std::size_t r = 0; r < sw.ctx.groups[s].members.size(); ++r) {
+        enqueue(sw, s, r, type, w);
+      }
+    }
+  };
   auto flush = [&] {
     for (Conn* conn : flush_order) {
       auto& buf = outgoing[conn];
@@ -970,28 +1097,6 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
       buf.clear();
     }
     flush_order.clear();
-  };
-  auto kth = [](const Sweep& sw) {
-    return sw.best.size() < sw.k ? kInf : sw.best.back().distance;
-  };
-  auto total_live = [](const Sweep& sw) {
-    std::size_t live = 0;
-    for (const ShardView& v : sw.views) {
-      if (v.active) live += v.live;
-    }
-    return live;
-  };
-  auto select_next = [](const Sweep& sw) {
-    std::size_t next = kSweepNone;
-    double next_key = kInf;
-    for (const ShardView& v : sw.views) {
-      if (!v.active) continue;
-      if (v.last.next != kSweepNone && v.last.next_key < next_key) {
-        next_key = v.last.next_key;
-        next = v.last.next;
-      }
-    }
-    return next;
   };
   // EndSweeps, but riding the next round's flush instead of paying its
   // own write syscall per connection: the kEndSweep frames are
@@ -1015,7 +1120,6 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
     }
     sw.legs.clear();
     end_sweeps_buffered(sw.ctx);
-    sw.res = ServeResult();
     sw.st = St::kBail;
     sw.settled = true;
     // A bail usually means a replica died under us: re-gate admission now
@@ -1023,32 +1127,15 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
     fast = FastWorldLocked();
   };
   auto finish = [&](Sweep& sw) {
-    sw.res.stats.distance_computations += sw.computations;
-    sw.res.stats.bounded_abandons += sw.abandons;
-    sw.res.neighbors = std::move(sw.best);
-    std::sort(sw.res.missing_shards.begin(), sw.res.missing_shards.end());
-    sw.res.partial = !sw.res.missing_shards.empty();
-    sw.res.stats.shards_degraded = sw.res.missing_shards.size();
     end_sweeps_buffered(sw.ctx);
     sw.st = St::kDone;
     sw.settled = true;
   };
-  auto issue_eval = [&](Sweep& sw) {
-    sw.cap = kth(sw);
-    PayloadWriter w;
-    w.U64(sw.s_cand);
-    w.F64(sw.cap);
-    sw.legs.clear();
-    enqueue(sw, ShardOf(sw.s_cand), sw.ctx.groups[ShardOf(sw.s_cand)].primary,
-            FrameType::kEval, w);
-    sw.st = St::kEval;
-  };
   auto start_sweep = [&](Sweep& sw) {
-    sw.st = St::kBegin;
+    sw.st = St::kBeginRow;
     sw.deadline = NowMs() + options_.query_deadline_ms;
     sw.last_progress_ms = NowMs();
-    sw.k = std::min(sw.job.k, n_);
-    if (sw.k == 0) {
+    if (!sw.state.Seed(*this, sw.job.k, sw.job.row)) {
       finish(sw);
       return;
     }
@@ -1064,30 +1151,8 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
         }
       }
     }
-    sw.views.assign(shards, ShardView());
-    for (ShardView& v : sw.views) v.active = true;
-    sw.res.stats.distance_computations += np;
-    sw.res.stats.pivot_computations += np;
-    const double* row = sw.job.row;
-    sw.best.reserve(sw.k + 1);
-    for (std::size_t p = 0; p < np; ++p) {
-      if (!base_tombs_.empty() &&
-          TestTombstone(base_tombs_.data(), pivots_[p])) {
-        continue;  // unreachable under the fast gate; kept for parity
-      }
-      InsertNeighborTopK(sw.best, sw.k, {pivots_[p], row[p]},
-                         /*admit_ties=*/true);
-    }
-    PayloadWriter w;
-    w.Str(sw.job.query);
-    w.F64(kth(sw));
-    w.U64(np);
-    w.Raw(row, np * sizeof(double));
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (std::size_t r = 0; r < sw.ctx.groups[s].members.size(); ++r) {
-        enqueue(sw, s, r, FrameType::kBeginRow, w);
-      }
-    }
+    enqueue_all(sw, FrameType::kBeginRow,
+                sw.state.BeginPayload(sw.job.query, sw.job.row));
   };
 
   // Reconciles a completed begin/step round: the primary's reply drives
@@ -1106,11 +1171,7 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
           return false;
         }
       }
-      PayloadReader r(primary->payload);
-      const WireCompact wc = DecodeCompact(r);
-      if (!r.Done()) return false;
-      sw.views[s].last = wc.pass;
-      sw.views[s].live = wc.pass.live;
+      if (!sw.state.Absorb(s, primary->payload)) return false;
     }
     return true;
   };
@@ -1118,7 +1179,9 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
   auto deliver_settled = [&] {
     for (auto it = sweeps.begin(); it != sweeps.end();) {
       if (it->settled) {
-        feed.Deliver(it->job.tag, std::move(it->res), it->st == St::kBail);
+        const bool bailed = it->st == St::kBail;
+        feed.Deliver(it->job.tag,
+                     bailed ? ServeResult() : it->state.Finish(), bailed);
         it = sweeps.erase(it);
       } else {
         ++it;
@@ -1244,9 +1307,7 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
     while (progress) {
       progress = false;
       for (Sweep& sw : sweeps) {
-        if (sw.st != St::kBegin && sw.st != St::kEval && sw.st != St::kStep) {
-          continue;
-        }
+        if (sw.settled) continue;
         bool all_done = true;
         bool dead = false;
         for (Leg& leg : sw.legs) {
@@ -1295,47 +1356,28 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
         // Phase complete: absorb the replies and issue the next round.
         progress = true;
         sw.last_progress_ms = NowMs();
-        if (sw.st == St::kBegin || sw.st == St::kStep) {
-          if (!absorb_compacts(sw)) {
+        if (sw.st == St::kEval) {
+          if (!sw.state.AbsorbEval(sw.legs[0].payload)) {
             bail(sw);
             continue;
           }
-          sw.legs.clear();
-          if (total_live(sw) == 0) {
-            finish(sw);
-            continue;
-          }
-          sw.s_cand = select_next(sw);
-          if (sw.s_cand == kSweepNone) {
-            finish(sw);
-            continue;
-          }
-          issue_eval(sw);
-        } else {  // kEval
-          PayloadReader r(sw.legs[0].payload);
-          const double d = r.F64();
-          if (!r.Done()) {
-            bail(sw);
-            continue;
-          }
-          ++sw.computations;
-          if (d >= sw.cap) {
-            ++sw.abandons;
-          } else {
-            InsertNeighborTopK(sw.best, sw.k, {sw.s_cand, d});
-          }
-          PayloadWriter w;
-          w.U32(static_cast<std::uint32_t>(sw.s_cand));
-          w.F64(kth(sw));
-          sw.legs.clear();
-          for (std::size_t s = 0; s < shards; ++s) {
-            for (std::size_t r2 = 0; r2 < sw.ctx.groups[s].members.size();
-                 ++r2) {
-              enqueue(sw, s, r2, FrameType::kStepRow, w);
-            }
-          }
-          sw.st = St::kStep;
+          enqueue_all(sw, FrameType::kStepRow, sw.state.StepPayload());
+          sw.st = St::kStepRow;
+          continue;
         }
+        if (!absorb_compacts(sw)) {
+          bail(sw);
+          continue;
+        }
+        sw.legs.clear();
+        if (!sw.state.SelectNext()) {
+          finish(sw);
+          continue;
+        }
+        const std::size_t owner = ShardOf(sw.state.cand);
+        enqueue(sw, owner, sw.ctx.groups[owner].primary, FrameType::kEval,
+                sw.state.EvalPayload());
+        sw.st = St::kEval;
       }
     }
     flush();
@@ -1599,21 +1641,18 @@ bool ServeRouter::ReplayMutations(std::size_t s, std::size_t r) {
 // tie-break exactly: all base ids < all delta ids, and within the delta
 // the sort puts the lower id first at equal distance.
 void ServeRouter::DeltaPhase(QueryCtx& ctx, std::string_view query,
-                             std::size_t k, std::int64_t deadline,
-                             std::vector<ShardView>& views,
-                             std::vector<NeighborResult>& best,
-                             std::uint64_t* computations,
-                             std::uint64_t* abandons, ServeResult* res) {
+                             std::int64_t deadline, RowSweep& sweep) {
   const std::size_t shards = shard_sizes_.size();
-  const double cap0 = best.size() < k ? kInf : best.back().distance;
+  const std::size_t k = sweep.k;
+  const double cap0 = sweep.kth();
   std::vector<NeighborResult> hits;
   for (std::size_t s = 0; s < shards; ++s) {
     if (delta_live_[s] == 0) continue;
     // A shard already lost to the base sweep is in missing_shards; its
     // delta is unreachable through the same dead group.
-    if (!views[s].active) continue;
+    if (!sweep.views[s].active) continue;
     if (RemainingMs(deadline) == 0) {
-      res->missing_shards.push_back(s);
+      sweep.res.missing_shards.push_back(s);
       continue;
     }
     PayloadWriter w;
@@ -1622,7 +1661,7 @@ void ServeRouter::DeltaPhase(QueryCtx& ctx, std::string_view query,
     w.U64(k);
     std::vector<char> reply;
     bool ok = GroupEval(ctx, s, FrameType::kDeltaScan, w.buf, &reply,
-                        deadline, res);
+                        deadline, &sweep.res);
     if (ok) {
       PayloadReader r(reply);
       const std::size_t mark = hits.size();
@@ -1638,406 +1677,77 @@ void ServeRouter::DeltaPhase(QueryCtx& ctx, std::string_view query,
       const std::uint64_t ab = r.U64();
       ok = ok && r.Done();
       if (ok) {
-        *computations += comps;
-        *abandons += ab;
+        sweep.computations += comps;
+        sweep.abandons += ab;
       } else {
         // Partially decoded garbage: drop what it contributed.
         hits.resize(mark);
         MarkDead(ctx, s, ctx.groups[s].primary);
       }
     }
-    if (!ok) {
-      views[s].active = false;
-      res->missing_shards.push_back(s);
-    }
+    if (!ok) sweep.Drop(s);
   }
   std::sort(hits.begin(), hits.end(), NeighborLess);
-  for (const NeighborResult& h : hits) InsertNeighborTopK(best, k, h);
+  for (const NeighborResult& h : hits) InsertNeighborTopK(sweep.best, k, h);
 }
 
-// The distributed `ShardedLaesa::Sweep`: identical decisions on identical
-// values in identical order — only the per-shard kernel passes run in the
-// workers (on every live member of each replica group). Read side by side
-// with sharded_laesa.cc.
-ServeResult ServeRouter::QueryLazy(QueryCtx& ctx, std::string_view query,
-                                   std::size_t k, double slack) {
-  ServeResult res;
-  std::size_t delta_total = 0;
-  for (const std::size_t v : delta_live_) delta_total += v;
-  k = std::min(k, n_ - base_dead_total_ + delta_total);
-  if (k == 0) return res;
+// The robust driver of the row sweep (RowSweep): blocking exchanges with
+// retries, failover and hedging, partial flagging, and the delta phase.
+// The row (computed by the caller — KNearest router-side, the admission
+// front end for its coalesced batches) is charged here, once per query,
+// as the in-process batch engine charges it.
+ServeResult ServeRouter::QueryRow(QueryCtx& ctx, std::string_view query,
+                                  std::size_t k, const double* row) {
+  RowSweep sweep;
+  if (!sweep.Seed(*this, k, row)) return sweep.Finish();
   const std::int64_t deadline = NowMs() + options_.query_deadline_ms;
-  const std::size_t shards = shard_sizes_.size();
-  // Any base tombstone anywhere switches the begin to its masked form:
-  // every worker compacts the deleted slots out before anything is
-  // visited and reports its surviving minima, so the router can pick a
-  // live start (a dead global pivot 0 must not be visited). Without
-  // tombstones the legacy begin runs — the healthy immutable path stays
-  // bit-identical, stats included.
-  const bool masked = base_dead_total_ > 0;
-
-  std::vector<ShardView> views(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    views[s].active = ctx.groups[s].AnyAlive();
-    if (!views[s].active) res.missing_shards.push_back(s);
+  for (std::size_t s = 0; s < sweep.views.size(); ++s) {
+    if (!ctx.groups[s].AnyAlive()) sweep.Drop(s);
   }
 
   // Scatter the sweep start to every live replica. Idempotent: a member
   // that misses the timeout is retried before being declared dead.
-  {
-    PayloadWriter w;
-    w.Str(query);
-    w.U32(masked ? 1u : 0u);
-    std::vector<std::vector<char>> replies(shards);
-    Broadcast(ctx, FrameType::kBeginLazy, w.buf,
-              /*retryable=*/true, RemainingMs(deadline), deadline, views,
-              replies, res.missing_shards, &res);
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!views[s].active) continue;
-      PayloadReader r(replies[s]);
-      bool ok;
-      if (masked) {
-        const WireCompact wc = DecodeCompact(r);
-        views[s].last = wc.pass;
-        views[s].live = wc.pass.live;
-        views[s].live_pivots = wc.live_pivots;
-        // The mask pass drops exactly the tombstoned slots (every live
-        // slot's length bound is finite), so the survivor count is an
-        // integrity check just like the legacy full count.
-        ok = r.Done() && views[s].live == shard_sizes_[s] - shard_dead_[s];
-      } else {
-        views[s].live = r.U64();
-        views[s].live_pivots = r.U64();
-        ok = r.Done() && views[s].live == shard_sizes_[s];
-      }
-      if (!ok) {
-        // The driving reply decoded to garbage (CRC-valid but wrong):
-        // with the primary's stream suspect there is no quorum to promote
-        // on, so the shard sits this query out. EnsurePrimary (without
-        // counting a failover — nothing was saved) leaves the group
-        // pointing at a live member for the next query.
-        MarkDead(ctx, s, ctx.groups[s].primary);
-        EnsurePrimary(ctx, s, nullptr);
-        views[s].active = false;
-        res.missing_shards.push_back(s);
-      }
-    }
-  }
-
-  std::size_t total_live = 0, live_pivots = 0;
-  auto recount = [&]() {
-    total_live = 0;
-    live_pivots = 0;
-    for (const ShardView& v : views) {
-      if (!v.active) continue;
-      total_live += v.live;
-      live_pivots += v.live_pivots;
-    }
-  };
-  recount();
-
-  // Merge per-shard minima in shard order with strict '<' — the lowest
-  // global index wins ties, exactly as in process.
-  auto select_next = [&]() -> std::size_t {
-    std::size_t next = kSweepNone, next_pivot = kSweepNone;
-    double next_key = kInf, next_pivot_key = kInf;
-    for (const ShardView& v : views) {
-      if (!v.active) continue;
-      if (v.last.next != kSweepNone && v.last.next_key < next_key) {
-        next_key = v.last.next_key;
-        next = v.last.next;
-      }
-      if (v.last.next_pivot != kSweepNone &&
-          v.last.next_pivot_key < next_pivot_key) {
-        next_pivot_key = v.last.next_pivot_key;
-        next_pivot = v.last.next_pivot;
-      }
-    }
-    return live_pivots > 0 ? next_pivot : next;
-  };
-
-  std::vector<NeighborResult> best;
-  best.reserve(k + 1);
-  auto kth = [&]() { return best.size() < k ? kInf : best.back().distance; };
-  std::uint64_t computations = 0, abandons = 0, pivot_computations = 0;
-
-  // Legacy start: the first pivot, as in process. Masked start: the best
-  // survivor of the begin passes — tombstoned slots are already gone.
-  std::size_t s_cand = masked ? select_next() : pivots_[0];
-  while (total_live > 0 && s_cand != kSweepNone) {
+  Broadcast(ctx, FrameType::kBeginRow, sweep.BeginPayload(query, row).buf,
+            /*retryable=*/true, deadline, sweep);
+  while (sweep.SelectNext()) {
     if (RemainingMs(deadline) == 0) {
       // Deadline: degrade to the incumbents; every shard still holding
       // live candidates is missing from the answer.
-      for (std::size_t s = 0; s < shards; ++s) {
-        if (views[s].active && views[s].live > 0) {
-          res.missing_shards.push_back(s);
+      for (std::size_t s = 0; s < sweep.views.size(); ++s) {
+        if (sweep.views[s].active && sweep.views[s].last.live > 0) {
+          sweep.Drop(s);
         }
       }
       break;
     }
-    const std::int32_t rank = pivot_rank_[s_cand];
-    const bool is_pivot = rank >= 0;
-    const double cap = is_pivot ? kInf : kth();
-    double d;
-    if (is_pivot) {
-      // Pivot strings live in the manifest: the visit evaluation runs
-      // router-side, like the pivot stage.
-      d = distance_->DistanceBounded(query, pivot_strings_[rank], cap);
-    } else {
-      const std::size_t owner = ShardOf(s_cand);
-      PayloadWriter w;
-      w.U64(s_cand);
-      w.F64(cap);
-      std::vector<char> reply;
-      bool ok = views[owner].active &&
-                GroupEval(ctx, owner, FrameType::kEval, w.buf, &reply,
-                          deadline, &res);
-      if (ok) {
-        PayloadReader r(reply);
-        d = r.F64();
-        ok = r.Done();
-        if (!ok) MarkDead(ctx, owner, ctx.groups[owner].primary);
-      }
-      if (!ok) {
-        // The candidate's whole group is gone: drop the shard from the
-        // sweep and pick the best survivor from the remaining shards'
-        // last passes. No visit happened, so no counters move.
-        views[owner].active = false;
-        res.missing_shards.push_back(owner);
-        recount();
-        s_cand = select_next();
-        continue;
-      }
+    const std::size_t owner = ShardOf(sweep.cand);
+    std::vector<char> reply;
+    bool ok = GroupEval(ctx, owner, FrameType::kEval,
+                        sweep.EvalPayload().buf, &reply, deadline,
+                        &sweep.res);
+    if (ok && !sweep.AbsorbEval(reply)) {
+      MarkDead(ctx, owner, ctx.groups[owner].primary);
+      ok = false;
     }
-    ++computations;
-    pivot_computations += is_pivot ? 1 : 0;
-    const bool abandoned = d >= cap;
-    if (abandoned) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {s_cand, d});
+    if (!ok) {
+      // The candidate's whole group is gone: drop the shard from the
+      // sweep and pick the best survivor from the remaining shards' last
+      // passes. No visit happened, so no counters move.
+      sweep.Drop(owner);
+      continue;
     }
-
     // Scatter the visit pass to every live replica; the elimination
     // radius tightens with the new incumbent. Mutating — never retried: a
     // member that misses the timeout here is dead on the spot, and only a
     // whole lost group degrades the shard.
-    const double bound = kth();
-    PayloadWriter w;
-    w.U32(static_cast<std::uint32_t>(s_cand));
-    w.I32(rank);
-    w.F64(d);
-    w.F64(slack);
-    w.F64(bound);
-    std::vector<std::vector<char>> replies(shards);
-    Broadcast(ctx, FrameType::kStep, w.buf,
-              /*retryable=*/false, RemainingMs(deadline), deadline, views,
-              replies, res.missing_shards, &res);
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!views[s].active) continue;
-      PayloadReader r(replies[s]);
-      const WireCompact wc = DecodeCompact(r);
-      if (!r.Done()) {
-        MarkDead(ctx, s, ctx.groups[s].primary);
-        views[s].active = false;
-        res.missing_shards.push_back(s);
-        continue;
-      }
-      views[s].last = wc.pass;
-      views[s].live = wc.pass.live;
-      views[s].live_pivots = wc.live_pivots;
-    }
-    recount();
-    if (total_live == 0) break;
-    s_cand = select_next();
+    Broadcast(ctx, FrameType::kStepRow, sweep.StepPayload().buf,
+              /*retryable=*/false, deadline, sweep);
   }
 
   // The delta phase: everything inserted since the snapshot lives in the
   // workers' in-memory deltas, scanned bounded by the base incumbents.
-  DeltaPhase(ctx, query, k, deadline, views, best, &computations, &abandons,
-             &res);
-
-  res.stats.distance_computations += computations;
-  res.stats.bounded_abandons += abandons;
-  res.stats.pivot_computations += pivot_computations;
-  std::sort(res.missing_shards.begin(), res.missing_shards.end());
-  res.missing_shards.erase(
-      std::unique(res.missing_shards.begin(), res.missing_shards.end()),
-      res.missing_shards.end());
-  res.partial = !res.missing_shards.empty();
-  res.stats.shards_degraded = res.missing_shards.size();
-  res.neighbors = std::move(best);
-  return res;
-}
-
-// The distributed `ShardedLaesa::SweepWithRow`: the pivot row (computed
-// by the caller — the batch path router-side, the admission front end for
-// its coalesced batches) seeds the incumbents (ties admitted, as the row
-// is already paid for), then the same adaptive loop runs over the merged
-// survivors. The row evaluations are charged here, once per query, as the
-// in-process batch engine charges them.
-ServeResult ServeRouter::QueryRow(QueryCtx& ctx, std::string_view query,
-                                  std::size_t k, const double* row) {
-  ServeResult res;
-  std::size_t delta_total = 0;
-  for (const std::size_t v : delta_live_) delta_total += v;
-  k = std::min(k, n_ - base_dead_total_ + delta_total);
-  if (k == 0) return res;
-  const std::int64_t deadline = NowMs() + options_.query_deadline_ms;
-  const std::size_t shards = shard_sizes_.size();
-  const std::size_t np = pivots_.size();
-
-  std::vector<ShardView> views(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    views[s].active = ctx.groups[s].AnyAlive();
-    if (!views[s].active) res.missing_shards.push_back(s);
-  }
-
-  res.stats.distance_computations += np;
-  res.stats.pivot_computations += np;
-
-  std::vector<NeighborResult> best;
-  best.reserve(k + 1);
-  auto kth = [&]() { return best.size() < k ? kInf : best.back().distance; };
-  for (std::size_t p = 0; p < np; ++p) {
-    // A tombstoned pivot's evaluation still tightens every worker's bounds
-    // (its row is broadcast below, an admissible use), but it must never
-    // become an incumbent — it is no longer a member of the live set.
-    if (!base_tombs_.empty() && TestTombstone(base_tombs_.data(), pivots_[p])) {
-      continue;
-    }
-    InsertNeighborTopK(best, k, {pivots_[p], row[p]}, /*admit_ties=*/true);
-  }
-  const double seed_bound = kth();
-
-  {
-    PayloadWriter w;
-    w.Str(query);
-    w.F64(seed_bound);
-    w.U64(np);
-    w.Raw(row, np * sizeof(double));
-    std::vector<std::vector<char>> replies(shards);
-    Broadcast(ctx, FrameType::kBeginRow, w.buf,
-              /*retryable=*/true, RemainingMs(deadline), deadline, views,
-              replies, res.missing_shards, &res);
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!views[s].active) continue;
-      PayloadReader r(replies[s]);
-      const WireCompact wc = DecodeCompact(r);
-      if (!r.Done()) {
-        MarkDead(ctx, s, ctx.groups[s].primary);
-        views[s].active = false;
-        res.missing_shards.push_back(s);
-        continue;
-      }
-      views[s].last = wc.pass;
-      views[s].live = wc.pass.live;
-      views[s].live_pivots = 0;
-    }
-  }
-
-  std::size_t total_live = 0;
-  auto recount = [&]() {
-    total_live = 0;
-    for (const ShardView& v : views) {
-      if (v.active) total_live += v.live;
-    }
-  };
-  auto select_next = [&]() -> std::size_t {
-    std::size_t next = kSweepNone;
-    double next_key = kInf;
-    for (const ShardView& v : views) {
-      if (!v.active) continue;
-      if (v.last.next != kSweepNone && v.last.next_key < next_key) {
-        next_key = v.last.next_key;
-        next = v.last.next;
-      }
-    }
-    return next;
-  };
-  recount();
-  std::size_t s_cand = select_next();
-
-  std::uint64_t computations = 0, abandons = 0;
-  while (total_live > 0 && s_cand != kSweepNone) {
-    if (RemainingMs(deadline) == 0) {
-      for (std::size_t s = 0; s < shards; ++s) {
-        if (views[s].active && views[s].live > 0) {
-          res.missing_shards.push_back(s);
-        }
-      }
-      break;
-    }
-    const double cap = kth();
-    const std::size_t owner = ShardOf(s_cand);
-    PayloadWriter ew;
-    ew.U64(s_cand);
-    ew.F64(cap);
-    std::vector<char> reply;
-    bool ok = views[owner].active &&
-              GroupEval(ctx, owner, FrameType::kEval, ew.buf, &reply,
-                        deadline, &res);
-    double d = 0.0;
-    if (ok) {
-      PayloadReader r(reply);
-      d = r.F64();
-      ok = r.Done();
-      if (!ok) MarkDead(ctx, owner, ctx.groups[owner].primary);
-    }
-    if (!ok) {
-      views[owner].active = false;
-      res.missing_shards.push_back(owner);
-      recount();
-      s_cand = select_next();
-      continue;
-    }
-    ++computations;
-    const bool abandoned = d >= cap;
-    if (abandoned) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {s_cand, d});
-    }
-
-    const double bound = kth();
-    PayloadWriter w;
-    w.U32(static_cast<std::uint32_t>(s_cand));
-    w.F64(bound);
-    std::vector<std::vector<char>> replies(shards);
-    Broadcast(ctx, FrameType::kStepRow, w.buf,
-              /*retryable=*/false, RemainingMs(deadline), deadline, views,
-              replies, res.missing_shards, &res);
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!views[s].active) continue;
-      PayloadReader r(replies[s]);
-      const WireCompact wc = DecodeCompact(r);
-      if (!r.Done()) {
-        MarkDead(ctx, s, ctx.groups[s].primary);
-        views[s].active = false;
-        res.missing_shards.push_back(s);
-        continue;
-      }
-      views[s].last = wc.pass;
-      views[s].live = wc.pass.live;
-    }
-    recount();
-    if (total_live == 0) break;
-    s_cand = select_next();
-  }
-
-  DeltaPhase(ctx, query, k, deadline, views, best, &computations, &abandons,
-             &res);
-
-  res.stats.distance_computations += computations;
-  res.stats.bounded_abandons += abandons;
-  std::sort(res.missing_shards.begin(), res.missing_shards.end());
-  res.missing_shards.erase(
-      std::unique(res.missing_shards.begin(), res.missing_shards.end()),
-      res.missing_shards.end());
-  res.partial = !res.missing_shards.empty();
-  res.stats.shards_degraded = res.missing_shards.size();
-  res.neighbors = std::move(best);
-  return res;
+  DeltaPhase(ctx, query, deadline, sweep);
+  return sweep.Finish();
 }
 
 }  // namespace cned

@@ -134,15 +134,19 @@ struct ServeResult {
 /// manifest (shard shapes + pivot ids + pivot strings), so no process
 /// ever materialises the whole index.
 ///
-/// A query runs the exact `ShardedLaesa` sweep with the per-shard passes
-/// scattered: the router makes every global decision (incumbents,
-/// elimination bound, next candidate — merged over the per-shard compact
-/// results in shard order with strict '<', the lowest-global-index tie
-/// rule), workers run the kernel passes over their segments, and the
-/// elimination radius tightens incrementally between rounds exactly as it
-/// does in process. A healthy router is therefore bit-identical —
-/// neighbours, distances AND QueryStats — to the in-process index,
-/// regardless of worker or replica count.
+/// A query runs the exact pivot-row sweep of `ShardedLaesa` — the one
+/// protocol the tier speaks — with the per-shard passes scattered: the
+/// router evaluates the query's pivot row from the manifest's pivot
+/// strings, seeds the incumbents from it, and makes every global decision
+/// (incumbents, elimination bound, next candidate — merged over the
+/// per-shard compact results in shard order with strict '<', the
+/// lowest-global-index tie rule); workers apply the row, run the kernel
+/// passes over their segments and evaluate the candidates they own, and
+/// the elimination radius tightens between rounds exactly as it does in
+/// process. A healthy router is therefore bit-identical — neighbours,
+/// distances AND QueryStats — to the in-process `ComputePivotRow` +
+/// `KNearestWithPivotRow`, regardless of worker or replica count. (The
+/// paper's lazy LAESA sweep runs only in process.)
 ///
 /// Concurrency model (the concurrent pipelined router): N caller threads
 /// drive N simultaneous scatter/gather sweeps over the *shared* worker
@@ -166,7 +170,7 @@ struct ServeResult {
 /// `mu` (membership snapshots, short).
 ///
 /// Replication model (state-machine): a shard's slab state is a pure
-/// deterministic function of its op sequence (Begin*, then the Step*s),
+/// deterministic function of its op sequence (BeginRow, then the StepRows),
 /// so the router scatters the begin and every mutating step to ALL live
 /// members of each group. The primary's reply drives the merge; every
 /// standby's reply is checked for byte agreement (a disagreeing standby
@@ -233,7 +237,9 @@ class ServeRouter {
   /// Loads the manifest and spawns `options.replicas` workers per shard.
   /// Throws std::invalid_argument on out-of-range options,
   /// std::runtime_error on a malformed manifest or if *every* worker
-  /// fails to come up; individual dead workers only degrade queries.
+  /// fails to come up, std::length_error when the manifest holds more than
+  /// kMaxSweepPrototypes prototypes; individual dead workers only degrade
+  /// queries.
   ServeRouter(const std::string& snapshot_dir, const ServeOptions& options);
   ~ServeRouter();
   ServeRouter(const ServeRouter&) = delete;
@@ -252,8 +258,11 @@ class ServeRouter {
   /// The router's distance (immutable after construction).
   const StringDistance& metric() const { return *distance_; }
 
-  /// Lazy (per-query) path — the distributed `ShardedLaesa::Nearest`.
-  /// Thread-safe: concurrent calls multiplex over the shared connections.
+  /// The robust per-query path: evaluates the query's pivot row
+  /// router-side, then runs `KNearestWithRow`. Bit-identical when healthy
+  /// to the in-process `ComputePivotRow` + `KNearestWithPivotRow` (stats
+  /// include the row evaluations). Thread-safe: concurrent calls multiplex
+  /// over the shared connections.
   ServeResult Nearest(std::string_view query);
   ServeResult KNearest(std::string_view query, std::size_t k);
 
@@ -284,22 +293,14 @@ class ServeRouter {
   /// The id the next Insert will assign.
   std::uint64_t next_insert_id() const;
 
-  /// Batched pivot-stage path — the distributed `*WithPivotRow` pipeline:
-  /// the router evaluates each query's pivot row once (locally, from the
-  /// manifest's pivot strings) and scatters it; workers seed and sweep.
-  /// Equivalent to the in-process pivot-row path per query; stats include
-  /// the row evaluations, as the batch engine counts them.
-  std::vector<ServeResult> NearestBatch(
-      const std::vector<std::string>& queries);
-  std::vector<ServeResult> KNearestBatch(
-      const std::vector<std::string>& queries, std::size_t k);
-
   /// One pivot-row query whose row the caller already computed (`row[p]` =
   /// d(query, pivot p), all pivots) — the seam the admission-batching
   /// front end (serve/engine.h) drives after its blocked query×pivot
   /// pass. Stats still count the `num_pivots()` row evaluations, exactly
   /// as the in-process batch engine charges them per query, so results
-  /// stay bit-identical to KNearestBatch of the same query. Throws
+  /// stay bit-identical to KNearest of the same query. Respawns dead
+  /// replicas first (`auto_respawn`), then runs with retries, failover,
+  /// hedging, partial flagging and the delta phase. Throws
   /// std::invalid_argument when `row.size() != num_pivots()`.
   ServeResult KNearestWithRow(std::string_view query, std::size_t k,
                               const std::vector<double>& row);
@@ -403,14 +404,9 @@ class ServeRouter {
     std::vector<GroupCtx> groups;
   };
 
-  /// Per-query view of one shard's sweep state, mirrored from its
-  /// primary's replies.
-  struct ShardView {
-    bool active = false;
-    std::size_t live = 0;
-    std::size_t live_pivots = 0;
-    SweepCompactResult last;
-  };
+  /// One row sweep's router-side decisions, shared by `QueryRow` and
+  /// `DriveSweeps` (defined in router.cc).
+  struct RowSweep;
 
   /// Spawn/reap run under `respawn_mu_`.
   void SpawnReplica(std::size_t s, std::size_t r,
@@ -458,19 +454,16 @@ class ServeRouter {
                        const std::vector<char>& payload,
                        std::vector<char>* reply, bool retryable);
 
-  /// Scatters one identical request to every live pinned member of every
-  /// active shard (the state-machine replication step), gathers, then
-  /// reconciles each group: the primary's reply drives (landing in
-  /// `replies[s]`), standbys are byte-checked against it (disagreement =
-  /// eviction), and a failed primary is replaced by a standby that
-  /// answered. Shards whose whole group failed are flipped inactive in
-  /// `views` and appended to `missing`.
+  /// Scatters one identical begin/step request to every live pinned
+  /// member of every active shard of `sweep` (the state-machine
+  /// replication step), gathers, then reconciles each group: the
+  /// primary's reply drives the shard's view, standbys are byte-checked
+  /// against it (disagreement = eviction), and a failed primary is
+  /// replaced by a standby that answered. A shard whose whole group failed,
+  /// or whose driving reply does not decode, drops out of the sweep.
   void Broadcast(QueryCtx& ctx, FrameType type,
                  const std::vector<char>& payload, bool retryable,
-                 int timeout_ms, std::int64_t deadline_ms,
-                 std::vector<ShardView>& views,
-                 std::vector<std::vector<char>>& replies,
-                 std::vector<std::size_t>& missing, ServeResult* res);
+                 std::int64_t deadline_ms, RowSweep& sweep);
 
   /// One idempotent read (`kEval` or `kDeltaScan`) against shard `s`:
   /// primary first, hedged to a standby after `hedge_delay_ms`, first
@@ -495,14 +488,11 @@ class ServeRouter {
   /// (replica already marked dead) when any op fails to apply.
   bool ReplayMutations(std::size_t s, std::size_t r);
 
-  /// The delta-scan phase both query paths share: scatters a bounded scan
-  /// to every shard holding live delta entries and strict-merges the
-  /// gathered hits into `best` in global NeighborLess order.
-  void DeltaPhase(QueryCtx& ctx, std::string_view query, std::size_t k,
-                  std::int64_t deadline, std::vector<ShardView>& views,
-                  std::vector<NeighborResult>& best,
-                  std::uint64_t* computations, std::uint64_t* abandons,
-                  ServeResult* res);
+  /// The mutable tier's delta phase: scatters a bounded scan to every
+  /// shard holding live delta entries and strict-merges the gathered hits
+  /// into the sweep's incumbents in global NeighborLess order.
+  void DeltaPhase(QueryCtx& ctx, std::string_view query,
+                  std::int64_t deadline, RowSweep& sweep);
 
   std::size_t ShardOf(std::size_t global) const;
   int RemainingMs(std::int64_t deadline_ms) const;
@@ -518,16 +508,10 @@ class ServeRouter {
   std::size_t RespawnDeadLocked(std::size_t limit);
   void HealthLoop();
 
-  ServeResult QueryLazy(QueryCtx& ctx, std::string_view query, std::size_t k,
-                        double slack);
   /// The pivot-row sweep given an already-computed row (`row` has
   /// num_pivots() entries). Charges the row evaluations to the stats.
   ServeResult QueryRow(QueryCtx& ctx, std::string_view query, std::size_t k,
                        const double* row);
-  /// One robust pivot-row query (respawn check, fresh ctx, QueryRow,
-  /// sweep-slot cleanup). Caller holds `world_mu_` shared.
-  ServeResult RobustRowQuery(std::string_view query, std::size_t k,
-                             const double* row);
   /// True when the multiplexed fast path may run: no tombstones, no
   /// delta entries, every replica alive on a healthy connection. Caller
   /// holds `world_mu_` shared.
@@ -537,8 +521,7 @@ class ServeRouter {
   std::size_t n_ = 0;
   std::vector<std::size_t> shard_sizes_;
   std::vector<std::size_t> bases_;        // size S+1
-  std::vector<std::size_t> pivots_;       // global pivot ids
-  std::vector<std::int32_t> pivot_rank_;  // global id -> ordinal or -1
+  std::vector<std::size_t> pivots_;  // global pivot ids
   std::vector<std::string> pivot_strings_;
   StringDistancePtr distance_;
 

@@ -26,12 +26,10 @@ const char* OpClass(FrameType type) {
   switch (type) {
     case FrameType::kPing:
       return "ping";
-    case FrameType::kBeginLazy:
     case FrameType::kBeginRow:
       return "begin";
     case FrameType::kEval:
       return "eval";
-    case FrameType::kStep:
     case FrameType::kStepRow:
       return "step";
     case FrameType::kInsert:
@@ -151,24 +149,6 @@ int RunShardWorker(int fd, const WorkerConfig& config) {
           reply.U64(config.replica_id);
           break;
         }
-        case FrameType::kBeginLazy: {
-          const std::string query = r.Str();
-          const std::uint32_t masked = r.U32();
-          if (!r.Done()) throw std::runtime_error("malformed BeginLazy");
-          const SweepCompactResult pass =
-              replica->BeginLazy(req.qid, query, masked != 0);
-          if (masked != 0) {
-            // Mutations exist somewhere: the router needs this segment's
-            // post-mask survivors to pick a live start.
-            EncodeCompact(reply, pass, replica->live_pivots(req.qid));
-          } else {
-            // Legacy reply shape — healthy immutable deployments stay
-            // byte-identical on the wire.
-            reply.U64(replica->live(req.qid));
-            reply.U64(replica->live_pivots(req.qid));
-          }
-          break;
-        }
         case FrameType::kBeginRow: {
           const std::string query = r.Str();
           const double seed_bound = r.F64();
@@ -187,7 +167,7 @@ int RunShardWorker(int fd, const WorkerConfig& config) {
           std::memcpy(row.data(), row_bytes, np * sizeof(double));
           const SweepCompactResult pass =
               replica->BeginRow(req.qid, query, row.data(), seed_bound);
-          EncodeCompact(reply, pass, replica->live_pivots(req.qid));
+          EncodeCompact(reply, pass);
           break;
         }
         case FrameType::kEval: {
@@ -197,25 +177,13 @@ int RunShardWorker(int fd, const WorkerConfig& config) {
           reply.F64(replica->Eval(req.qid, id, cap));
           break;
         }
-        case FrameType::kStep: {
-          const std::uint32_t skip = r.U32();
-          const std::int32_t rank = r.I32();
-          const double d = r.F64();
-          const double slack = r.F64();
-          const double bound = r.F64();
-          if (!r.Done()) throw std::runtime_error("malformed Step");
-          const SweepCompactResult pass =
-              replica->Step(req.qid, skip, rank, d, slack, bound);
-          EncodeCompact(reply, pass, replica->live_pivots(req.qid));
-          break;
-        }
         case FrameType::kStepRow: {
           const std::uint32_t skip = r.U32();
           const double bound = r.F64();
           if (!r.Done()) throw std::runtime_error("malformed StepRow");
           const SweepCompactResult pass =
               replica->StepRow(req.qid, skip, bound);
-          EncodeCompact(reply, pass, replica->live_pivots(req.qid));
+          EncodeCompact(reply, pass);
           break;
         }
         case FrameType::kInsert: {

@@ -22,11 +22,13 @@ struct WorkerConfig {
 /// Runs the shard-worker protocol loop on `fd` (one end of the router's
 /// socketpair) until the router sends kShutdown, the socket closes, or an
 /// injected crash fires. Maps the shard snapshot (checksum-verified), then
-/// serves Ping/BeginLazy/BeginRow/Eval/Step/StepRow requests, applying the
-/// fault spec's deterministic schedule to each. Returns the process exit
-/// code (0 on clean shutdown). Never throws: a snapshot or protocol
-/// failure is reported as a kError frame where possible and a nonzero
-/// return otherwise.
+/// serves Ping, the row sweep (BeginRow/Eval/StepRow/EndSweep) and the
+/// mutable tier's Insert/Remove/DeltaScan, applying the fault spec's
+/// deterministic schedule to each. Any other request type — including the
+/// retired types 2 and 5 — gets a kError reply and the loop serves on.
+/// Returns the process exit code (0 on clean shutdown). Never throws: a
+/// snapshot or protocol failure is reported as a kError frame where
+/// possible and a nonzero return otherwise.
 int RunShardWorker(int fd, const WorkerConfig& config);
 
 }  // namespace cned

@@ -27,6 +27,7 @@
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"
 #include "tests/snapshot_test_util.h"
+#include "tests/test_util.h"
 
 namespace cned {
 namespace {
@@ -43,21 +44,6 @@ class KernelGuard {
 
  private:
   std::string saved_;
-};
-
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/cned_mutable_XXXXXX";
-    char* p = mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path = p;
-  }
-  ~TempDir() {
-    if (!path.empty()) std::filesystem::remove_all(path);
-  }
-  TempDir(const TempDir&) = delete;
-  TempDir& operator=(const TempDir&) = delete;
 };
 
 /// The brute-force oracle: the live set as (stable id -> string), searched

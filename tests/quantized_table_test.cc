@@ -19,7 +19,6 @@
 #include <unistd.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -35,6 +34,7 @@
 #include "serve/router.h"
 #include "serve/shard_snapshot.h"
 #include "tests/snapshot_test_util.h"
+#include "tests/test_util.h"
 
 namespace cned {
 namespace {
@@ -68,21 +68,6 @@ void ExpectIdentical(const Probe& a, const Probe& b, const std::string& ctx) {
     EXPECT_EQ(a.knn[i].distance, b.knn[i].distance) << ctx << " k-rank " << i;
   }
 }
-
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/cned_quant_XXXXXX";
-    char* p = mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path = p;
-  }
-  ~TempDir() {
-    if (!path.empty()) std::filesystem::remove_all(path);
-  }
-  TempDir(const TempDir&) = delete;
-  TempDir& operator=(const TempDir&) = delete;
-};
 
 /// Restores the startup-active kernel variant when a test is done forcing.
 class KernelGuard {
@@ -215,8 +200,12 @@ TEST(QuantizedTableTest, DistributedReplicasServeQuantizedBitIdentically) {
     for (const auto& q : queries) {
       const std::string ctx =
           std::string(TablePrecisionName(prec)) + " q=" + q;
+      // The served reference is the in-process pivot-row path.
       QueryStats want_stats;
-      const auto want = index.KNearest(q, 3, &want_stats);
+      std::vector<double> row(index.pivot_count());
+      index.ComputePivotRow(q, row.data(), &want_stats);
+      const auto want = index.KNearestWithPivotRow(q, 3, row.data(),
+                                                   &want_stats);
       const ServeResult got = router.KNearest(q, 3);
       EXPECT_FALSE(got.partial) << ctx;
       EXPECT_TRUE(got.missing_shards.empty()) << ctx;

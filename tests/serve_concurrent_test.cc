@@ -23,11 +23,9 @@
 // other.
 
 #include <gtest/gtest.h>
-#include <stdlib.h>
 
 #include <atomic>
 #include <cmath>
-#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -43,6 +41,7 @@
 #include "serve/engine.h"
 #include "serve/router.h"
 #include "serve/shard_snapshot.h"
+#include "tests/test_util.h"
 
 namespace cned {
 namespace {
@@ -65,21 +64,6 @@ Workload MakeWorkload(std::size_t words, std::size_t queries,
   w.queries = MakeQueries(w.protos, queries, 2, Alphabet::Latin(), rng);
   return w;
 }
-
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/cned_conc_XXXXXX";
-    char* p = mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path = p;
-  }
-  ~TempDir() {
-    if (!path.empty()) std::filesystem::remove_all(path);
-  }
-  TempDir(const TempDir&) = delete;
-  TempDir& operator=(const TempDir&) = delete;
-};
 
 /// Results may interleave with concurrent mutations, so only invariants
 /// hold: never flagged, never shed, sorted finite distances.

@@ -3,7 +3,8 @@
 //
 //   1. Healthy = bit-identical. A router over 1/2/4/8 workers returns the
 //      same neighbours, the same distances AND the same QueryStats as the
-//      in-process ShardedLaesa, on both the lazy and the pivot-row path.
+//      in-process ShardedLaesa pivot-row path (ComputePivotRow +
+//      KNearestWithPivotRow) — the one protocol the tier serves.
 //   2. Degraded = correctly flagged. Crashed (kill -9), unresponsive,
 //      and corrupt-stream workers cost exactly their shard: results come
 //      back partial with the missed shards named, surviving distances
@@ -26,7 +27,6 @@
 
 #include <gtest/gtest.h>
 #include <signal.h>
-#include <stdlib.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/rng.h"
 #include "datasets/dictionary_gen.h"
 #include "datasets/perturb.h"
@@ -46,8 +47,10 @@
 #include "search/sharded_laesa.h"
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"
+#include "serve/replica.h"
 #include "serve/router.h"
 #include "serve/shard_snapshot.h"
+#include "tests/test_util.h"
 
 namespace cned {
 namespace {
@@ -69,21 +72,6 @@ Workload MakeWorkload(std::size_t words, std::size_t queries,
   return w;
 }
 
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/cned_serve_XXXXXX";
-    char* p = mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path = p;
-  }
-  ~TempDir() {
-    if (!path.empty()) std::filesystem::remove_all(path);
-  }
-  TempDir(const TempDir&) = delete;
-  TempDir& operator=(const TempDir&) = delete;
-};
-
 /// In-process reference index + its serving snapshot on disk.
 struct Deployment {
   TempDir dir;
@@ -97,6 +85,22 @@ struct Deployment {
     index = std::make_unique<ShardedLaesa>(*store, MakeDistance("dE"), pivots,
                                            /*first_pivot=*/0, precision);
     SaveServingSnapshot(*index, dir.path);
+  }
+
+  /// d(q, pivot p) for every pivot, computed in process.
+  std::vector<double> PivotRow(const std::string& q,
+                               QueryStats* stats = nullptr) const {
+    std::vector<double> row(index->pivot_count());
+    index->ComputePivotRow(q, row.data(), stats);
+    return row;
+  }
+
+  /// The in-process reference of one served query: the pivot-row path,
+  /// its stats including the row evaluations.
+  std::vector<NeighborResult> Reference(const std::string& q, std::size_t k,
+                                        QueryStats* stats) const {
+    const std::vector<double> row = PivotRow(q, stats);
+    return index->KNearestWithPivotRow(q, k, row.data(), stats);
   }
 };
 
@@ -132,78 +136,93 @@ void ExpectHealthyIdentical(const ServeResult& got,
 
 // --- Contract 1: healthy bit-identity --------------------------------------
 
-TEST(ServeDistributedTest, HealthyLazyPathBitIdenticalAcrossWorkerCounts) {
-  Workload w = MakeWorkload(120, 8, 7100);
-  for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-    Deployment dep(w.protos, shards, 8);
-    ServeRouter router(dep.dir.path, FastOptions());
-    ASSERT_EQ(router.shard_count(), shards);
-    ASSERT_EQ(router.size(), w.protos.size());
-    ASSERT_EQ(router.pivots(), dep.index->pivots());
-    for (const auto& q : w.queries) {
-      const std::string ctx = "S=" + std::to_string(shards) + " q=" + q;
-      QueryStats s1;
-      const NeighborResult a = dep.index->Nearest(q, &s1);
-      ExpectHealthyIdentical(router.Nearest(q), {a}, s1, ctx + " k=1");
-
-      QueryStats sk;
-      const auto ka = dep.index->KNearest(q, 5, &sk);
-      ExpectHealthyIdentical(router.KNearest(q, 5), ka, sk, ctx + " k=5");
-    }
-  }
-}
-
-TEST(ServeDistributedTest, HealthyBatchPathBitIdenticalAcrossWorkerCounts) {
-  Workload w = MakeWorkload(120, 8, 7200);
-  for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-    Deployment dep(w.protos, shards, 8);
-    ServeRouter router(dep.dir.path, FastOptions());
-    const auto got = router.KNearestBatch(w.queries, 4);
-    ASSERT_EQ(got.size(), w.queries.size());
-    std::vector<double> row(dep.index->pivot_count());
-    for (std::size_t i = 0; i < w.queries.size(); ++i) {
-      QueryStats ref;
-      dep.index->ComputePivotRow(w.queries[i], row.data(), &ref);
-      const auto want =
-          dep.index->KNearestWithPivotRow(w.queries[i], 4, row.data(), &ref);
-      ExpectHealthyIdentical(got[i], want, ref,
-                             "S=" + std::to_string(shards) +
-                                 " q=" + w.queries[i]);
+TEST(ServeDistributedTest, HealthyPathBitIdenticalAcrossWorkerCounts) {
+  // Two workloads: the first through Nearest and KNearest(k=5), the
+  // second through KNearest(k=4).
+  struct Case {
+    std::uint64_t seed;
+    std::vector<std::size_t> ks;
+  };
+  for (const Case& c : {Case{7100, {1, 5}}, Case{7200, {4}}}) {
+    Workload w = MakeWorkload(120, 8, c.seed);
+    for (std::size_t shards : {1u, 2u, 4u, 8u}) {
+      Deployment dep(w.protos, shards, 8);
+      ServeRouter router(dep.dir.path, FastOptions());
+      ASSERT_EQ(router.shard_count(), shards);
+      ASSERT_EQ(router.size(), w.protos.size());
+      ASSERT_EQ(router.pivots(), dep.index->pivots());
+      for (const auto& q : w.queries) {
+        for (const std::size_t k : c.ks) {
+          const std::string ctx = "seed=" + std::to_string(c.seed) +
+                                  " S=" + std::to_string(shards) +
+                                  " q=" + q + " k=" + std::to_string(k);
+          QueryStats ref;
+          const auto want = dep.Reference(q, k, &ref);
+          ExpectHealthyIdentical(
+              k == 1 ? router.Nearest(q) : router.KNearest(q, k), want, ref,
+              ctx);
+        }
+      }
     }
   }
 }
 
 // --- Contract 2: flagged degradation ---------------------------------------
 
-TEST(ServeDistributedTest, CrashMidSweepDegradesExactlyThatShard) {
-  Workload w = MakeWorkload(150, 3, 7300);
-  Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
-  opt.fault_spec = "crash:shard=2,op=step,nth=2";
-  opt.auto_respawn = false;
-  ServeRouter router(dep.dir.path, opt);
+TEST(ServeDistributedTest, CrashDegradesExactlyThatShardAndRespawns) {
+  {
+    Workload w = MakeWorkload(150, 3, 7300);
+    Deployment dep(w.protos, 4, 8);
+    ServeOptions opt = FastOptions();
+    opt.fault_spec = "crash:shard=2,op=step,nth=2";
+    opt.auto_respawn = false;
+    ServeRouter router(dep.dir.path, opt);
 
-  const ServeResult r = router.KNearest(w.queries[0], 3);
-  EXPECT_TRUE(r.partial);
-  ASSERT_EQ(r.missing_shards, std::vector<std::size_t>{2});
-  EXPECT_EQ(r.stats.shards_degraded, 1u);
-  EXPECT_FALSE(router.worker_alive(2));
-  // Every distance the degraded answer reports is still exact.
-  auto dist = MakeDistance("dE");
-  for (const NeighborResult& nb : r.neighbors) {
-    EXPECT_EQ(nb.distance, dist->Distance(w.queries[0], w.protos[nb.index]));
+    const ServeResult r = router.KNearest(w.queries[0], 3);
+    EXPECT_TRUE(r.partial);
+    ASSERT_EQ(r.missing_shards, std::vector<std::size_t>{2});
+    EXPECT_EQ(r.stats.shards_degraded, 1u);
+    EXPECT_FALSE(router.worker_alive(2));
+    // Every distance the degraded answer reports is still exact.
+    auto dist = MakeDistance("dE");
+    for (const NeighborResult& nb : r.neighbors) {
+      EXPECT_EQ(nb.distance, dist->Distance(w.queries[0], w.protos[nb.index]));
+    }
+
+    // Respawn restores full health and bit-identity. The no-replica-selector
+    // crash directive fired on both group members, so respawn revives two
+    // processes.
+    EXPECT_FALSE(router.PingAll());
+    EXPECT_EQ(router.RespawnDead(), 2u);
+    EXPECT_TRUE(router.PingAll());
+    QueryStats ref;
+    const auto want = dep.Reference(w.queries[1], 3, &ref);
+    ExpectHealthyIdentical(router.KNearest(w.queries[1], 3), want, ref,
+                           "post-respawn");
   }
 
-  // Respawn restores full health and bit-identity. The no-replica-selector
-  // crash directive fired on both group members, so respawn revives two
-  // processes.
-  EXPECT_FALSE(router.PingAll());
-  EXPECT_EQ(router.RespawnDead(), 2u);
-  EXPECT_TRUE(router.PingAll());
-  QueryStats ref;
-  const auto want = dep.index->KNearest(w.queries[1], 3, &ref);
-  ExpectHealthyIdentical(router.KNearest(w.queries[1], 3), want, ref,
-                         "post-respawn");
+  // A crash at a begin costs exactly one query of a stream: the worker for
+  // shard 1 dies when query 3's BeginRow arrives, and auto_respawn runs
+  // between queries.
+  Workload w = MakeWorkload(120, 6, 7800);
+  Deployment dep(w.protos, 4, 8);
+  ServeOptions opt = FastOptions();
+  opt.fault_spec = "crash:shard=1,op=begin,nth=3";
+  ServeRouter router(dep.dir.path, opt);
+  std::size_t partials = 0;
+  for (const auto& q : w.queries) {
+    const ServeResult got = router.KNearest(q, 3);
+    if (got.partial) {
+      ++partials;
+      EXPECT_EQ(got.missing_shards, std::vector<std::size_t>{1}) << q;
+      continue;
+    }
+    QueryStats ref;
+    const auto want = dep.Reference(q, 3, &ref);
+    ExpectHealthyIdentical(got, want, ref, "stream q=" + q);
+  }
+  EXPECT_EQ(partials, 1u);
+  EXPECT_TRUE(router.worker_alive(1));
 }
 
 TEST(ServeDistributedTest, UnresponsiveStepIsNeverRetriedAndDegrades) {
@@ -225,13 +244,13 @@ TEST(ServeDistributedTest, UnresponsiveIdempotentOpIsRetriedTransparently) {
   Workload w = MakeWorkload(100, 4, 7500);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
-  // Dropped Eval and dropped BeginLazy replies: both are idempotent, so
+  // Dropped Eval and dropped BeginRow replies: both are idempotent, so
   // the retry path must absorb them with no effect on the answer.
   opt.fault_spec = "drop:shard=1,op=eval,nth=1|drop:shard=3,op=begin,nth=1";
   ServeRouter router(dep.dir.path, opt);
   for (const auto& q : w.queries) {
     QueryStats ref;
-    const auto want = dep.index->KNearest(q, 3, &ref);
+    const auto want = dep.Reference(q, 3, &ref);
     ExpectHealthyIdentical(router.KNearest(q, 3), want, ref,
                            "retried q=" + q);
   }
@@ -273,41 +292,13 @@ TEST(ServeDistributedTest, DeadlineExpiryReturnsFlaggedPartialIncumbents) {
   }
 }
 
-TEST(ServeDistributedTest, CrashMidBatchCostsOneQueryAndAutoRespawns) {
-  Workload w = MakeWorkload(120, 6, 7800);
-  Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
-  // The worker for shard 1 dies when query 3's BeginRow arrives; respawn
-  // runs between queries, so exactly one answer in the batch is partial.
-  opt.fault_spec = "crash:shard=1,op=begin,nth=3";
-  ServeRouter router(dep.dir.path, opt);
-  const auto got = router.KNearestBatch(w.queries, 3);
-  ASSERT_EQ(got.size(), w.queries.size());
-  std::vector<double> row(dep.index->pivot_count());
-  std::size_t partials = 0;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    if (got[i].partial) {
-      ++partials;
-      EXPECT_EQ(got[i].missing_shards, std::vector<std::size_t>{1}) << i;
-      continue;
-    }
-    QueryStats ref;
-    dep.index->ComputePivotRow(w.queries[i], row.data(), &ref);
-    const auto want =
-        dep.index->KNearestWithPivotRow(w.queries[i], 3, row.data(), &ref);
-    ExpectHealthyIdentical(got[i], want, ref, "batch q=" + w.queries[i]);
-  }
-  EXPECT_EQ(partials, 1u);
-  EXPECT_TRUE(router.worker_alive(1));
-}
-
 TEST(ServeDistributedTest, KillNineOfWholeGroupIsSurvivedFlaggedAndRecovered) {
   Workload w = MakeWorkload(120, 5, 7900);
   Deployment dep(w.protos, 4, 8);
   ServeRouter router(dep.dir.path, FastOptions());
 
   QueryStats ref0;
-  const auto want0 = dep.index->KNearest(w.queries[0], 3, &ref0);
+  const auto want0 = dep.Reference(w.queries[0], 3, &ref0);
   ExpectHealthyIdentical(router.KNearest(w.queries[0], 3), want0, ref0,
                          "pre-kill");
 
@@ -334,7 +325,7 @@ TEST(ServeDistributedTest, KillNineOfWholeGroupIsSurvivedFlaggedAndRecovered) {
   // auto_respawn brings shard 2 back for the next query: full bit-identity
   // again, under fresh pids.
   QueryStats ref2;
-  const auto want2 = dep.index->KNearest(w.queries[2], 3, &ref2);
+  const auto want2 = dep.Reference(w.queries[2], 3, &ref2);
   ExpectHealthyIdentical(router.KNearest(w.queries[2], 3), want2, ref2,
                          "post-respawn");
   EXPECT_TRUE(router.worker_alive(2));
@@ -344,56 +335,54 @@ TEST(ServeDistributedTest, KillNineOfWholeGroupIsSurvivedFlaggedAndRecovered) {
 // --- Contract 3: replica-group failover ------------------------------------
 
 TEST(ServeDistributedTest, EveryPrimaryCrashedMidSweepStaysExactUnflagged) {
-  Workload w = MakeWorkload(150, 3, 8400);
-  Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
-  // Each shard's *primary* (replica 0) crashes on its 2nd visit pass.
-  // The standby holds bit-identical slab state, so every shard fails
-  // over mid-sweep and the query must come back exact and unflagged.
-  opt.fault_spec = "crash:op=step,nth=2,replica=0";
-  opt.auto_respawn = false;
-  ServeRouter router(dep.dir.path, opt);
+  {
+    Workload w = MakeWorkload(150, 3, 8400);
+    Deployment dep(w.protos, 4, 8);
+    ServeOptions opt = FastOptions();
+    // Each shard's *primary* (replica 0) crashes on its 2nd visit pass.
+    // The standby holds bit-identical slab state, so every shard fails
+    // over mid-sweep and the query must come back exact and unflagged.
+    opt.fault_spec = "crash:op=step,nth=2,replica=0";
+    opt.auto_respawn = false;
+    ServeRouter router(dep.dir.path, opt);
 
-  QueryStats ref;
-  const auto want = dep.index->KNearest(w.queries[0], 3, &ref);
-  const ServeResult r = router.KNearest(w.queries[0], 3);
-  ExpectHealthyIdentical(r, want, ref, "mid-sweep failover");
-  EXPECT_EQ(r.failovers, 4u);
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(router.primary_of(s), 1u) << "shard " << s;
-    EXPECT_FALSE(router.replica_alive(s, 0)) << "shard " << s;
-    EXPECT_TRUE(router.replica_alive(s, 1)) << "shard " << s;
+    QueryStats ref;
+    const auto want = dep.Reference(w.queries[0], 3, &ref);
+    const ServeResult r = router.KNearest(w.queries[0], 3);
+    ExpectHealthyIdentical(r, want, ref, "mid-sweep failover");
+    EXPECT_EQ(r.failovers, 4u);
+    for (std::size_t s = 0; s < 4; ++s) {
+      EXPECT_EQ(router.primary_of(s), 1u) << "shard " << s;
+      EXPECT_FALSE(router.replica_alive(s, 0)) << "shard " << s;
+      EXPECT_TRUE(router.replica_alive(s, 1)) << "shard " << s;
+    }
+
+    // The promotion is durable: the next query runs on the standbys with no
+    // further failovers (and no respawn ever happened).
+    QueryStats ref1;
+    const auto want1 = dep.Reference(w.queries[1], 3, &ref1);
+    const ServeResult r1 = router.KNearest(w.queries[1], 3);
+    ExpectHealthyIdentical(r1, want1, ref1, "post-failover");
+    EXPECT_EQ(r1.failovers, 0u);
   }
 
-  // The promotion is durable: the next query runs on the standbys with no
-  // further failovers (and no respawn ever happened).
-  QueryStats ref1;
-  const auto want1 = dep.index->KNearest(w.queries[1], 3, &ref1);
-  const ServeResult r1 = router.KNearest(w.queries[1], 3);
-  ExpectHealthyIdentical(r1, want1, ref1, "post-failover");
-  EXPECT_EQ(r1.failovers, 0u);
-}
-
-TEST(ServeDistributedTest, EveryPrimaryCrashedMidBatchStaysExactUnflagged) {
+  // The same schedule over a query stream with auto_respawn on: every
+  // answer stays exact, and the only promotions are the one per shard in
+  // the query that crashed the primaries.
   Workload w = MakeWorkload(150, 5, 8500);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
   opt.fault_spec = "crash:op=step,nth=2,replica=0";
   ServeRouter router(dep.dir.path, opt);
-  const auto got = router.KNearestBatch(w.queries, 3);
-  ASSERT_EQ(got.size(), w.queries.size());
-  std::vector<double> row(dep.index->pivot_count());
   std::size_t failovers = 0;
-  for (std::size_t i = 0; i < got.size(); ++i) {
+  for (const auto& q : w.queries) {
     QueryStats ref;
-    dep.index->ComputePivotRow(w.queries[i], row.data(), &ref);
-    const auto want =
-        dep.index->KNearestWithPivotRow(w.queries[i], 3, row.data(), &ref);
-    ExpectHealthyIdentical(got[i], want, ref,
-                           "batch failover q=" + w.queries[i]);
-    failovers += got[i].failovers;
+    const auto want = dep.Reference(q, 3, &ref);
+    const ServeResult got = router.KNearest(q, 3);
+    ExpectHealthyIdentical(got, want, ref, "stream failover q=" + q);
+    failovers += got.failovers;
   }
-  EXPECT_EQ(failovers, 4u);  // one promotion per shard, all in one query
+  EXPECT_EQ(failovers, 4u);
 }
 
 TEST(ServeDistributedTest, RealKillNineOfPrimaryFailsOverMidQuery) {
@@ -402,7 +391,7 @@ TEST(ServeDistributedTest, RealKillNineOfPrimaryFailsOverMidQuery) {
   ServeRouter router(dep.dir.path, FastOptions());
 
   QueryStats ref0;
-  const auto want0 = dep.index->KNearest(w.queries[0], 3, &ref0);
+  const auto want0 = dep.Reference(w.queries[0], 3, &ref0);
   ExpectHealthyIdentical(router.KNearest(w.queries[0], 3), want0, ref0,
                          "pre-kill");
 
@@ -414,7 +403,7 @@ TEST(ServeDistributedTest, RealKillNineOfPrimaryFailsOverMidQuery) {
   ASSERT_EQ(kill(victim, SIGKILL), 0);
 
   QueryStats ref1;
-  const auto want1 = dep.index->KNearest(w.queries[1], 3, &ref1);
+  const auto want1 = dep.Reference(w.queries[1], 3, &ref1);
   const ServeResult during = router.KNearest(w.queries[1], 3);
   ExpectHealthyIdentical(during, want1, ref1, "kill -9 failover");
   EXPECT_GE(during.failovers, 1u);
@@ -424,7 +413,7 @@ TEST(ServeDistributedTest, RealKillNineOfPrimaryFailsOverMidQuery) {
   // auto_respawn refills the group between queries; the revived process
   // rejoins at the next begin and the group is back to full strength.
   QueryStats ref2;
-  const auto want2 = dep.index->KNearest(w.queries[2], 3, &ref2);
+  const auto want2 = dep.Reference(w.queries[2], 3, &ref2);
   ExpectHealthyIdentical(router.KNearest(w.queries[2], 3), want2, ref2,
                          "post-respawn");
   EXPECT_TRUE(router.PingAll());
@@ -449,7 +438,7 @@ TEST(ServeDistributedTest, SlowPrimaryEvalsAreHedgedToTheStandby) {
   std::size_t hedged = 0;
   for (const auto& q : w.queries) {
     QueryStats ref;
-    const auto want = dep.index->KNearest(q, 3, &ref);
+    const auto want = dep.Reference(q, 3, &ref);
     const ServeResult r = router.KNearest(q, 3);
     ExpectHealthyIdentical(r, want, ref, "hedged q=" + q);
     EXPECT_EQ(r.failovers, 0u);
@@ -476,7 +465,7 @@ TEST(ServeDistributedTest, DisagreeingStandbyIsEvictedAndQueryStaysExact) {
   ServeRouter router(dep.dir.path, opt);
 
   QueryStats ref;
-  const auto want = dep.index->KNearest(w.queries[0], 3, &ref);
+  const auto want = dep.Reference(w.queries[0], 3, &ref);
   const ServeResult r = router.KNearest(w.queries[0], 3);
   ExpectHealthyIdentical(r, want, ref, "mangled standby");
   EXPECT_EQ(r.replicas_evicted, 1u);
@@ -491,28 +480,34 @@ TEST(ServeDistributedTest, AllShardsDeadReturnsAllMissingAscending) {
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
   // Every replica of every shard crashes on its first begin: the whole
-  // fleet is gone. Lazy path: nothing survives, every shard is named,
-  // ascending. Row path: the pivot evaluations run router-side, so the
-  // answer still holds exact pivot incumbents.
+  // fleet is gone, and every shard is named, ascending. The pivot row is
+  // evaluated router-side, so the answer still holds the exact pivot
+  // incumbents: the k nearest pivots.
   opt.fault_spec = "crash:op=begin,nth=1";
   opt.auto_respawn = false;
-  ServeRouter router(dep.dir.path, opt);
-
-  const ServeResult lazy = router.KNearest(w.queries[0], 3);
-  EXPECT_TRUE(lazy.partial);
-  EXPECT_EQ(lazy.missing_shards, (std::vector<std::size_t>{0, 1, 2, 3}));
-  EXPECT_EQ(lazy.stats.shards_degraded, 4u);
-  EXPECT_TRUE(lazy.neighbors.empty());
-
-  // Fresh router (the first one's fleet is dead and stays dead).
-  ServeRouter router2(dep.dir.path, opt);
-  const auto batch = router2.KNearestBatch({w.queries[1]}, 3);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_TRUE(batch[0].partial);
-  EXPECT_EQ(batch[0].missing_shards, (std::vector<std::size_t>{0, 1, 2, 3}));
   auto dist = MakeDistance("dE");
-  for (const NeighborResult& nb : batch[0].neighbors) {
-    EXPECT_EQ(nb.distance, dist->Distance(w.queries[1], w.protos[nb.index]));
+  const std::vector<std::size_t>& pivots = dep.index->pivots();
+  // Two queries, each on a fresh fleet (a crashed one stays dead).
+  for (const std::string& q : w.queries) {
+    ServeRouter router(dep.dir.path, opt);
+    const ServeResult r = router.KNearest(q, 3);
+    EXPECT_TRUE(r.partial) << q;
+    EXPECT_EQ(r.missing_shards, (std::vector<std::size_t>{0, 1, 2, 3})) << q;
+    EXPECT_EQ(r.stats.shards_degraded, 4u) << q;
+    std::vector<double> pivot_d;
+    for (const std::size_t p : pivots) {
+      pivot_d.push_back(dist->Distance(q, w.protos[p]));
+    }
+    std::sort(pivot_d.begin(), pivot_d.end());
+    ASSERT_EQ(r.neighbors.size(), 3u) << q;
+    for (std::size_t i = 0; i < r.neighbors.size(); ++i) {
+      const NeighborResult& nb = r.neighbors[i];
+      EXPECT_NE(std::find(pivots.begin(), pivots.end(), nb.index),
+                pivots.end())
+          << q << " rank " << i << " is not a pivot";
+      EXPECT_EQ(nb.distance, dist->Distance(q, w.protos[nb.index])) << q;
+      EXPECT_EQ(nb.distance, pivot_d[i]) << q << " rank " << i;
+    }
   }
 }
 
@@ -527,7 +522,7 @@ TEST(ServeDistributedTest, HealthLoopRevivesKilledReplicasInBackground) {
   ServeRouter router(dep.dir.path, opt);
 
   QueryStats ref0;
-  const auto want0 = dep.index->KNearest(w.queries[0], 3, &ref0);
+  const auto want0 = dep.Reference(w.queries[0], 3, &ref0);
   ExpectHealthyIdentical(router.KNearest(w.queries[0], 3), want0, ref0,
                          "pre-kill");
 
@@ -547,7 +542,7 @@ TEST(ServeDistributedTest, HealthLoopRevivesKilledReplicasInBackground) {
   }
   EXPECT_TRUE(healthy);
   QueryStats ref1;
-  const auto want1 = dep.index->KNearest(w.queries[1], 3, &ref1);
+  const auto want1 = dep.Reference(w.queries[1], 3, &ref1);
   ExpectHealthyIdentical(router.KNearest(w.queries[1], 3), want1, ref1,
                          "post-revival");
 }
@@ -561,7 +556,7 @@ TEST(ServeDistributedTest, UnreplicatedTierStillServesExactlyAtROne) {
   ASSERT_EQ(router.replica_count(), 1u);
   for (const auto& q : w.queries) {
     QueryStats ref;
-    const auto want = dep.index->KNearest(q, 3, &ref);
+    const auto want = dep.Reference(q, 3, &ref);
     const ServeResult r = router.KNearest(q, 3);
     ExpectHealthyIdentical(r, want, ref, "R=1 q=" + q);
     EXPECT_EQ(r.failovers, 0u);
@@ -620,53 +615,46 @@ void ExpectSameServeResult(const ServeResult& a, const ServeResult& b,
   }
 }
 
-TEST(ServeDistributedTest, DegradedLazyResultsAreDeterministicAcrossRuns) {
-  Workload w = MakeWorkload(140, 5, 8000);
-  Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
-  // A mixed schedule: one crash and one swallowed mutating op. Counted
-  // per directive, the schedule is a pure function of the request
-  // sequence — so two fresh routers over the same queries must degrade
-  // identically, down to the stats.
-  opt.fault_spec = "crash:shard=2,op=step,nth=4|drop:shard=0,op=step,nth=6";
-  opt.respawn_fault_spec = "";
-  auto run = [&]() {
-    ServeRouter router(dep.dir.path, opt);
-    std::vector<ServeResult> out;
-    for (const auto& q : w.queries) out.push_back(router.KNearest(q, 3));
-    return out;
+TEST(ServeDistributedTest, DegradedResultsAreDeterministicAcrossRuns) {
+  // Fault schedules are counted per directive, so each is a pure function
+  // of the request sequence — two fresh routers over the same queries must
+  // degrade identically, down to the stats. Two schedules: a mixed one (a
+  // crash and a swallowed mutating op, respawns clean), and a crash at a
+  // begin that costs exactly one query.
+  struct Case {
+    std::uint64_t seed;
+    std::size_t queries;
+    std::string fault_spec;
   };
-  const auto first = run();
-  const auto second = run();
-  ASSERT_EQ(first.size(), second.size());
-  std::size_t partials = 0;
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    ExpectSameServeResult(first[i], second[i],
-                          "lazy run q=" + w.queries[i]);
-    partials += first[i].partial ? 1 : 0;
+  for (const Case& c :
+       {Case{8000, 5, "crash:shard=2,op=step,nth=4|drop:shard=0,op=step,nth=6"},
+        Case{8100, 6, "crash:shard=3,op=begin,nth=2"}}) {
+    Workload w = MakeWorkload(140, c.queries, c.seed);
+    Deployment dep(w.protos, 4, 8);
+    ServeOptions opt = FastOptions();
+    opt.fault_spec = c.fault_spec;
+    opt.respawn_fault_spec = "";
+    auto run = [&]() {
+      ServeRouter router(dep.dir.path, opt);
+      std::vector<ServeResult> out;
+      for (const auto& q : w.queries) out.push_back(router.KNearest(q, 3));
+      return out;
+    };
+    const auto first = run();
+    const auto second = run();
+    ASSERT_EQ(first.size(), second.size());
+    std::size_t partials = 0;
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      ExpectSameServeResult(first[i], second[i],
+                            c.fault_spec + " q=" + w.queries[i]);
+      partials += first[i].partial ? 1 : 0;
+    }
+    if (c.seed == 8000) {
+      EXPECT_GT(partials, 0u);  // the schedule really fired
+    } else {
+      EXPECT_EQ(partials, 1u);
+    }
   }
-  EXPECT_GT(partials, 0u);  // the schedule really fired
-}
-
-TEST(ServeDistributedTest, DegradedBatchResultsAreDeterministicAcrossRuns) {
-  Workload w = MakeWorkload(140, 6, 8100);
-  Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
-  opt.fault_spec = "crash:shard=3,op=begin,nth=2";
-  auto run = [&]() {
-    ServeRouter router(dep.dir.path, opt);
-    return router.KNearestBatch(w.queries, 3);
-  };
-  const auto first = run();
-  const auto second = run();
-  ASSERT_EQ(first.size(), second.size());
-  std::size_t partials = 0;
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    ExpectSameServeResult(first[i], second[i],
-                          "batch run q=" + w.queries[i]);
-    partials += first[i].partial ? 1 : 0;
-  }
-  EXPECT_EQ(partials, 1u);
 }
 
 // --- Snapshot-level robustness ---------------------------------------------
@@ -713,7 +701,7 @@ TEST(ServeDistributedTest, ExecFormWorkerBinaryServesIdentically) {
   ServeRouter router(dep.dir.path, opt);
   for (const auto& q : w.queries) {
     QueryStats ref;
-    const auto want = dep.index->KNearest(q, 3, &ref);
+    const auto want = dep.Reference(q, 3, &ref);
     ExpectHealthyIdentical(router.KNearest(q, 3), want, ref,
                            "exec q=" + q);
   }
@@ -722,6 +710,64 @@ TEST(ServeDistributedTest, ExecFormWorkerBinaryServesIdentically) {
 TEST(ServeDistributedTest, RouterRejectsMissingManifest) {
   TempDir empty;
   EXPECT_THROW(ServeRouter(empty.path, FastOptions()), std::exception);
+}
+
+TEST(ServeDistributedTest, RouterRejectsManifestPastTheSweepIdLimit) {
+  // A well-formed manifest (valid CRC footer, consistent sections) whose
+  // prototype count cannot be addressed by 32-bit sweep ids: the router
+  // must refuse it by name before sizing anything by n, and before any
+  // worker is spawned.
+  TempDir dir;
+  const std::uint64_t n = 0xFFFFFFFFull;  // 2^32 - 1
+  {
+    BinaryWriter writer(ManifestPath(dir.path));
+    const std::string pivot = "casa";
+    const std::uint64_t counts[4] = {n, 1, 1, pivot.size()};
+    writer.Header(kRouterManifestMagic, kRouterManifestVersion, counts, 4);
+    const std::uint64_t shard_size = n;
+    const std::uint64_t pivot_id = 0;
+    const std::uint64_t pivot_len = pivot.size();
+    writer.Align();
+    writer.Raw(&shard_size, sizeof(shard_size));
+    writer.Align();
+    writer.Raw(&pivot_id, sizeof(pivot_id));
+    writer.Align();
+    writer.Raw(&pivot_len, sizeof(pivot_len));
+    writer.Align();
+    writer.Raw(pivot.data(), pivot.size());
+    writer.Finish();
+  }
+  try {
+    ServeRouter router(dir.path, FastOptions());
+    FAIL() << "expected the router to refuse n = 2^32 - 1";
+  } catch (const std::length_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "ServeRouter: 4294967295 prototypes exceed the sweep limit of "
+              "2147483648 (32-bit candidate ids)");
+  }
+}
+
+TEST(ServeDistributedTest, ReplicaRejectsShardSlicePastTheSweepIdLimit) {
+  // The worker-side twin: a checksum-valid shard slice whose header claims
+  // 2^32 - 1 prototypes in total is refused by name at load.
+  Workload w = MakeWorkload(40, 1, 9210);
+  Deployment dep(w.protos, 2, 4);
+  const std::string index_path = ShardIndexPath(dep.dir.path, 0);
+  {
+    BinaryWriter writer(index_path);
+    const std::uint64_t counts[6] = {0xFFFFFFFFull, 2, 4, 0,
+                                     dep.store->shard(0).size(), 0};
+    writer.Header(kShardSliceMagic, kShardSliceVersion, counts, 6);
+    writer.Finish();
+  }
+  try {
+    ShardReplica replica(ShardStorePath(dep.dir.path, 0), index_path, "dE");
+    FAIL() << "expected the replica to refuse n = 2^32 - 1";
+  } catch (const std::length_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "ShardReplica: 4294967295 prototypes exceed the sweep limit of "
+              "2147483648 (32-bit candidate ids)");
+  }
 }
 
 // --- Satellite: retry waits are gated by the query deadline -----------------
@@ -790,7 +836,7 @@ void ExpectServesLiveOracle(const ServeResult& got,
   }
 }
 
-TEST(ServeDistributedTest, MutationsServeExactlyOnBothPathsReplicated) {
+TEST(ServeDistributedTest, MutationsServeExactlyOnBothEntryPointsReplicated) {
   Workload w = MakeWorkload(120, 5, 9400);
   Deployment dep(w.protos, 4, 8);
   ServeRouter router(dep.dir.path, FastOptions());  // default R=2
@@ -809,7 +855,7 @@ TEST(ServeDistributedTest, MutationsServeExactlyOnBothPathsReplicated) {
   // Insert-only: the base stays unmasked, only the delta phase runs.
   for (const auto& q : w.queries) {
     ExpectServesLiveOracle(router.KNearest(q, 5), live, *dist, q, 5,
-                           "delta-only lazy q=" + q);
+                           "delta-only q=" + q);
   }
 
   // Removes: base ids (0 is a shard pivot), plus one delta id — with dedup
@@ -826,20 +872,18 @@ TEST(ServeDistributedTest, MutationsServeExactlyOnBothPathsReplicated) {
   EXPECT_EQ(router.next_insert_id(), w.protos.size() + 10);
 
   for (const auto& q : w.queries) {
-    // Masked lazy path (tombstoned base + delta)...
+    // Tombstoned base + delta...
     ExpectServesLiveOracle(router.KNearest(q, 5), live, *dist, q, 5,
-                           "masked lazy q=" + q);
+                           "masked q=" + q);
     // ...and the top-1 special case.
     ExpectServesLiveOracle(router.Nearest(q), live, *dist, q, 1,
                            "masked nearest q=" + q);
   }
-  // The pivot-row path masks too — including the removed pivot id 0, which
-  // must be skipped as a seed but never returned.
-  const auto batch = router.KNearestBatch(w.queries, 5);
-  ASSERT_EQ(batch.size(), w.queries.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ExpectServesLiveOracle(batch[i], live, *dist, w.queries[i], 5,
-                           "masked row q=" + w.queries[i]);
+  // A caller-computed row (the engine's entry point) masks too — including
+  // the removed pivot id 0, which seeds no incumbent and is never returned.
+  for (const auto& q : w.queries) {
+    ExpectServesLiveOracle(router.KNearestWithRow(q, 5, dep.PivotRow(q)), live,
+                           *dist, q, 5, "masked with-row q=" + q);
   }
   EXPECT_TRUE(router.PingAll());
 }
@@ -866,12 +910,37 @@ TEST(ServeDistributedTest, MutationsServeExactlyAtROne) {
   EXPECT_EQ(router.live_size(), live.size());
   for (const auto& q : w.queries) {
     ExpectServesLiveOracle(router.KNearest(q, 4), live, *dist, q, 4,
-                           "R=1 lazy q=" + q);
+                           "R=1 q=" + q);
+    ExpectServesLiveOracle(router.KNearestWithRow(q, 4, dep.PivotRow(q)), live,
+                           *dist, q, 4, "R=1 with-row q=" + q);
   }
-  const auto batch = router.KNearestBatch(w.queries, 4);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ExpectServesLiveOracle(batch[i], live, *dist, w.queries[i], 4,
-                           "R=1 row q=" + w.queries[i]);
+}
+
+TEST(ServeDistributedTest, CancelledMutationsServeBitIdenticallyAgain) {
+  // Inserts that were all removed again leave no live delta and no base
+  // tombstone: the world is the snapshot's again, so served answers are
+  // bit-identical to the in-process pivot-row path once more, stats
+  // included — on both entry points, at R=1 and R=2.
+  Workload w = MakeWorkload(120, 4, 9550);
+  Deployment dep(w.protos, 4, 8);
+  for (const int replicas : {1, 2}) {
+    ServeOptions opt = FastOptions();
+    opt.replicas = replicas;
+    ServeRouter router(dep.dir.path, opt);
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 6; ++i) {
+      ids.push_back(router.Insert(w.protos[i * 13] + "%" + std::to_string(i)));
+    }
+    for (const std::uint64_t id : ids) ASSERT_TRUE(router.Remove(id));
+    EXPECT_EQ(router.live_size(), w.protos.size());
+    for (const auto& q : w.queries) {
+      const std::string ctx = "R=" + std::to_string(replicas) + " q=" + q;
+      QueryStats ref;
+      const auto want = dep.Reference(q, 4, &ref);
+      ExpectHealthyIdentical(router.KNearest(q, 4), want, ref, ctx);
+      ExpectHealthyIdentical(router.KNearestWithRow(q, 4, dep.PivotRow(q)),
+                             want, ref, ctx + " with-row");
+    }
   }
 }
 
@@ -953,12 +1022,11 @@ TEST(ServeDistributedTest, MutatedTierStaysExactAcrossPrecisionsAndKernels) {
       }
       for (const auto& q : w.queries) {
         ExpectServesLiveOracle(router.KNearest(q, 3), live, *dist, q, 3,
-                               ctx + " lazy q=" + q);
+                               ctx + " q=" + q);
       }
-      const auto batch = router.KNearestBatch({w.queries[0]}, 3);
-      ASSERT_EQ(batch.size(), 1u);
-      ExpectServesLiveOracle(batch[0], live, *dist, w.queries[0], 3,
-                             ctx + " row");
+      ExpectServesLiveOracle(
+          router.KNearestWithRow(w.queries[0], 3, dep.PivotRow(w.queries[0])),
+          live, *dist, w.queries[0], 3, ctx + " with-row");
     }
   }
   ASSERT_TRUE(SetActiveSweepKernels(saved_kernel));

@@ -1,8 +1,9 @@
 // Wire-level contracts of the serving tier: checksummed framing round
 // trips, corruption and truncation surface as kMalformed (never a hang or
 // a garbage decode), receives are deadline-bounded, the payload codec is
-// strict about short reads and trailing bytes, and the CNED_FAULT grammar
-// parses deterministically.
+// strict about short reads and trailing bytes, the CNED_FAULT grammar
+// parses deterministically, and a worker answers request types it does
+// not serve with kError and keeps serving.
 
 #include "serve/frame.h"
 
@@ -14,9 +15,17 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "datasets/sharded_prototype_store.h"
+#include "distances/registry.h"
+#include "search/sharded_laesa.h"
 #include "serve/fault.h"
+#include "serve/shard_snapshot.h"
+#include "serve/worker.h"
+#include "tests/snapshot_test_util.h"
+#include "tests/test_util.h"
 
 namespace cned {
 namespace {
@@ -40,11 +49,11 @@ TEST(ServeFrameTest, RoundTripsPayloadTypeSequenceAndQueryId) {
   w.I32(-42);
   w.F64(2.5);
   w.Str("hello frame");
-  ASSERT_TRUE(SendFrame(sp.fds[0], FrameType::kStep, 99, 1234, w.buf.data(),
+  ASSERT_TRUE(SendFrame(sp.fds[0], FrameType::kStepRow, 99, 1234, w.buf.data(),
                         w.buf.size()));
   Frame f;
   ASSERT_EQ(RecvFrame(sp.fds[1], &f, 1000), RecvStatus::kOk);
-  EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kStep));
+  EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kStepRow));
   EXPECT_EQ(f.seq, 99u);
   EXPECT_EQ(f.qid, 1234u);
   PayloadReader r(f.payload);
@@ -181,8 +190,8 @@ TEST(ServeFrameBufferTest, PartialFrameWaitsAcrossAppends) {
   std::vector<char> bytes;
   PayloadWriter w;
   w.Str("split across reads");
-  ASSERT_TRUE(
-      EncodeFrame(&bytes, FrameType::kStep, 9, 42, w.buf.data(), w.buf.size()));
+  ASSERT_TRUE(EncodeFrame(&bytes, FrameType::kStepRow, 9, 42, w.buf.data(),
+                          w.buf.size()));
 
   FrameBuffer fb;
   Frame f;
@@ -349,6 +358,61 @@ TEST(ServeFaultTest, MangleKindFlagsPayloadCorruption) {
   // Mangle is byte-corruption with a *valid* CRC: distinct from corrupt.
   EXPECT_FALSE(second.corrupt);
   EXPECT_FALSE(second.crash);
+}
+
+TEST(ServeWorkerTest, RetiredFrameTypesGetErrorAndTheWorkerServesOn) {
+  // Types 2 and 5 carried the retired lazy sweep. They still pass the
+  // frame layer, so a worker must answer each with kError (echoing its
+  // sequence and query id) and keep serving: the next ping on the same
+  // connection is answered normally.
+  TempDir dir;
+  const ShardedPrototypeStore store(Words(40, 8600), 2);
+  const ShardedLaesa index(store, MakeDistance("dE"), 4);
+  SaveServingSnapshot(index, dir.path);
+  WorkerConfig config;
+  config.store_path = ShardStorePath(dir.path, 0);
+  config.index_path = ShardIndexPath(dir.path, 0);
+  config.distance = "dE";
+
+  SocketPair sp;
+  int exit_code = -1;
+  std::thread worker([&] { exit_code = RunShardWorker(sp.fds[1], config); });
+  // EXPECTs only from here to the join: an ASSERT would return past it.
+  std::uint32_t seq = 0;
+  for (const std::uint32_t retired : {2u, 5u}) {
+    PayloadWriter w;
+    w.Str("casa");
+    w.U32(0);
+    ++seq;
+    EXPECT_TRUE(SendFrame(sp.fds[0], static_cast<FrameType>(retired), seq,
+                          /*qid=*/7, w.buf.data(), w.buf.size()));
+    Frame f;
+    EXPECT_EQ(RecvFrame(sp.fds[0], &f, 5000), RecvStatus::kOk);
+    EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kError));
+    EXPECT_EQ(f.seq, seq);
+    EXPECT_EQ(f.qid, 7u);
+    PayloadReader r(f.payload);
+    EXPECT_EQ(r.Str(), "unexpected frame type " + std::to_string(retired));
+    EXPECT_TRUE(r.Done());
+
+    ++seq;
+    EXPECT_TRUE(SendFrame(sp.fds[0], FrameType::kPing, seq, /*qid=*/0,
+                          nullptr, 0));
+    EXPECT_EQ(RecvFrame(sp.fds[0], &f, 5000), RecvStatus::kOk);
+    EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kReply));
+    EXPECT_EQ(f.seq, seq);
+    PayloadReader ping(f.payload);
+    EXPECT_EQ(ping.U64(), 0u);  // shard id
+    EXPECT_EQ(ping.U64(), 0u);  // replica id
+    EXPECT_TRUE(ping.Done());
+  }
+  EXPECT_TRUE(
+      SendFrame(sp.fds[0], FrameType::kShutdown, ++seq, 0, nullptr, 0));
+  Frame bye;
+  EXPECT_EQ(RecvFrame(sp.fds[0], &bye, 5000), RecvStatus::kOk);
+  shutdown(sp.fds[0], SHUT_WR);  // EOF ends the loop even if a send failed
+  worker.join();
+  EXPECT_EQ(exit_code, 0);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -594,6 +595,21 @@ TEST(SweepKernelTest, QuantizedBoundsAreAdmissible) {
         }
       }
     }
+  }
+}
+
+TEST(SweepKernelTest, PrototypeCountLimitIsExplicit) {
+  // Every id below the limit fits a signed 32-bit gather lane and differs
+  // from the u32 "none" skip value.
+  static_assert(kMaxSweepPrototypes - 1 <= 0x7FFFFFFFu);
+  EXPECT_NO_THROW(CheckSweepPrototypeCount(kMaxSweepPrototypes, "Index"));
+  try {
+    CheckSweepPrototypeCount(kMaxSweepPrototypes + 1, "Index");
+    FAIL() << "expected std::length_error past the limit";
+  } catch (const std::length_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "Index: 2147483649 prototypes exceed the sweep limit of "
+              "2147483648 (32-bit candidate ids)");
   }
 }
 
