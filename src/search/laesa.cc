@@ -11,6 +11,7 @@
 
 #include "common/binary_io.h"
 #include "common/parallel.h"
+#include "search/laesa_sweep.h"
 #include "search/pivot_selection.h"
 #include "search/sweep_kernel.h"
 
@@ -95,178 +96,27 @@ void Laesa::BuildTable() {
   }
 }
 
-// Unified flat sweep behind Nearest (k = 1), NearestApprox (slack = 1+eps)
-// and KNearest: a candidate is eliminated when lower_bound * slack reaches
-// the k-th incumbent.
-//
-// Elimination and the incumbent update share one semantic: a candidate that
-// cannot *strictly* improve on the k-th incumbent is dead. That is what
-// lets the incumbent itself be the `DistanceBounded` bound — the kernel may
-// abandon any evaluation that provably reaches it, because such a value
-// could at most tie.
-//
-// Two phases, both shared through sweep_kernel.h, so the flat, sharded and
-// mapped indexes execute literally the same code over their packed
-// candidate slabs:
-//   * pivot phase — while a pivot survives, visit the surviving pivot with
-//     minimal lower bound (the "approximating" step of LAESA), tighten
-//     every survivor with its contiguous table row, then one
-//     eliminate-and-compact pass picks the next pivot;
-//   * fixed-bound tail — once no pivot survives, no row is left to apply
-//     and the remaining non-pivots are visited from an in-place
-//     (bound, id) heap (`VisitFixedBoundTail`), in the same order the
-//     per-visit pass would pick them.
-std::vector<NeighborResult> Laesa::Sweep(std::string_view query, std::size_t k,
-                                         double slack, QueryStats* stats,
-                                         const std::uint64_t* tombstones)
-    const {
-  const PrototypeStore& protos = store();
-  const std::size_t n = protos.size();
-  k = std::min(k, n);
-  if (k == 0) return {};
+// The flat index as the shared sweep sees it (search/laesa_sweep.h): one
+// segment over the whole store.
+struct Laesa::SweepLayout {
+  const StringDistance& distance;
+  const std::vector<std::size_t>& pivots;
+  const std::int32_t* pivot_rank;
+  std::size_t size;
+  const PrototypeStore& store;
+  QuantTableView table;
 
-  const SweepKernels& kern = ActiveSweepKernels();
-  const QuantTableView view = table_view();
-  SweepScratch& scratch = TlsSweepScratch();
-  scratch.idx.resize(n);
-  scratch.lower.resize(n);
-  std::uint32_t* idx = scratch.idx.data();
-  double* lower = scratch.lower.data();
-
-  // Free zeroth pivot: length-only lower bounds, filled by one flat pass
-  // over the store's packed length array before any distance is computed.
-  distance_->LengthLowerBounds(query.size(), protos.lengths_data(), n, lower);
-  // Count live pivots from pivot_rank_, not pivots_.size(): the ablation
-  // constructor and Load accept duplicate pivot indices, which occupy one
-  // candidate slot but several pivots_ entries.
-  std::size_t live_pivots = FillIotaCountPivots(idx, pivot_rank_.data(), n);
-
-  std::size_t live = n;  // candidates in the packed prefix [0, live)
-
-  // Current k best, sorted ascending (k is small in practice).
-  std::vector<NeighborResult> best;
-  best.reserve(k + 1);
-  const double inf = std::numeric_limits<double>::infinity();
-  auto kth = [&]() { return best.size() < k ? inf : best.back().distance; };
-
-  std::uint64_t pivot_computations = 0, abandons = 0;
-
-  std::size_t s = pivots_[0];  // start from the first base prototype
-  if (tombstones != nullptr) {
-    // Deletes are eliminated inside the compaction before anything is
-    // visited: force the masked slots' bounds to +inf, then one flagged
-    // pass drops them from the packed slab (lower >= bound is inclusive,
-    // so +inf falls even to the infinite starting incumbent) and hands
-    // back the minimal-bound live pivot. With every pivot masked the
-    // sweep goes straight to the tail.
-    ApplyTombstoneMask(tombstones, n, lower);
-    const SweepCompactResult pre = kern.eliminate_and_compact_flagged(
-        idx, lower, pivot_rank_.data(), live, /*skip=*/0xFFFFFFFFu, slack,
-        inf);
-    live = pre.live;
-    live_pivots -= pre.pivots_died;
-    s = pre.next_pivot;
+  std::size_t segment_count() const { return 1; }
+  SweepSegment segment(std::size_t) const {
+    return {0, size, store.lengths_data(), table};
   }
-  while (live_pivots > 0) {
-    // Pivot distances stay exact: the full value tightens a whole row of
-    // lower bounds (both sides of |d - row[i]|), which an abandoned
-    // evaluation cannot. Under the +inf cap only an infinite distance
-    // counts as abandoned.
-    const double d = distance_->DistanceBounded(query, protos[s], inf);
-    ++pivot_computations;
-    if (d >= inf) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {s, d});
-    }
+  std::size_t segment_of(std::size_t) const { return 0; }
+  std::string_view view(std::size_t id) const { return store[id]; }
+};
 
-    QuantUpdateLowerPacked(kern, view,
-                           static_cast<std::size_t>(pivot_rank_[s]), n, d,
-                           idx, 0, lower, live);
-    const SweepCompactResult pass = kern.eliminate_and_compact_flagged(
-        idx, lower, pivot_rank_.data(), live, static_cast<std::uint32_t>(s),
-        slack, kth());
-    live = pass.live;
-    live_pivots -= pass.pivots_died;
-    s = pass.next_pivot;
-  }
-
-  // Non-pivot distances only ever update the incumbents, so the k-th
-  // incumbent bounds their kernel — the search trajectory (and computation
-  // count) is identical to the unbounded sweep, only the per-evaluation DP
-  // work shrinks.
-  const SweepTailCounts tail = VisitFixedBoundTail(
-      idx, lower, live, slack, k, best, [&](std::size_t id, double cap) {
-        return distance_->DistanceBounded(query, protos[id], cap);
-      });
-
-  if (stats != nullptr) {
-    stats->distance_computations += pivot_computations + tail.computations;
-    stats->bounded_abandons += abandons + tail.abandons;
-    stats->pivot_computations += pivot_computations;
-  }
-  return best;
-}
-
-// The batched counterpart of `Sweep`: the caller already paid for every
-// query-pivot distance (they are shared across the batch), so all pivot
-// rows are applied before any elimination — the tightest pivot-based lower
-// bounds the table can give — and only the surviving non-pivots are then
-// visited adaptively. Same elimination semantics as `Sweep` (a candidate
-// that can at most tie the k-th incumbent is dead), different trajectory:
-// see pivot_stage.h.
-std::vector<NeighborResult> Laesa::SweepWithRow(std::string_view query,
-                                                std::size_t k,
-                                                const double* row,
-                                                QueryStats* stats) const {
-  const PrototypeStore& protos = store();
-  const std::size_t n = protos.size();
-  k = std::min(k, n);
-  if (k == 0) return {};
-
-  const SweepKernels& kern = ActiveSweepKernels();
-  SweepScratch& scratch = TlsSweepScratch();
-  scratch.idx.resize(n);
-  scratch.lower.resize(n);
-  std::uint32_t* idx = scratch.idx.data();
-  double* lower = scratch.lower.data();
-
-  distance_->LengthLowerBounds(query.size(), protos.lengths_data(), n, lower);
-
-  // Seed the incumbents with every pivot distance (each live pivot once —
-  // the ablation constructor and Load accept duplicate pivot entries).
-  // These evaluations are already paid for, so ties admit the lower index.
-  std::vector<NeighborResult> best;
-  best.reserve(k + 1);
-  const double inf = std::numeric_limits<double>::infinity();
-  for (std::size_t p = 0; p < pivots_.size(); ++p) {
-    if (pivot_rank_[pivots_[p]] != static_cast<std::int32_t>(p)) continue;
-    InsertNeighborTopK(best, k, {pivots_[p], row[p]}, /*admit_ties=*/true);
-  }
-  const double seed_bound = best.size() < k ? inf : best.back().distance;
-
-  // Tighten every lower bound with every pivot row (no elimination yet:
-  // each row pass is the dense streamed-max kernel), then one compact_seed
-  // pass eliminates against the fully seeded k-th incumbent and packs the
-  // surviving non-pivots. Their bounds are final, so the adaptive phase is
-  // the fixed-bound tail from the first visit on.
-  const QuantTableView view = table_view();
-  for (std::size_t p = 0; p < pivots_.size(); ++p) {
-    QuantUpdateLowerDense(kern, view, p, n, row[p], lower);
-  }
-  const SweepCompactResult seed = kern.compact_seed(
-      lower, pivot_rank_.data(), n, 0, seed_bound, idx, lower);
-  const SweepTailCounts tail = VisitFixedBoundTail(
-      idx, lower, seed.live, /*slack=*/1.0, k, best,
-      [&](std::size_t id, double cap) {
-        return distance_->DistanceBounded(query, protos[id], cap);
-      });
-
-  if (stats != nullptr) {
-    stats->distance_computations += tail.computations;
-    stats->bounded_abandons += tail.abandons;
-  }
-  return best;
+Laesa::SweepLayout Laesa::layout() const {
+  return {*distance_, pivots_, pivot_rank_.data(), store().size(), store(),
+          table_view()};
 }
 
 void Laesa::ComputePivotRow(std::string_view query, double* row,
@@ -284,38 +134,41 @@ void Laesa::ComputePivotRow(std::string_view query, double* row,
 NeighborResult Laesa::NearestWithPivotRow(std::string_view query,
                                           const double* row,
                                           QueryStats* stats) const {
-  return SweepWithRow(query, 1, row, stats).front();
+  return LaesaRowSweep(layout(), query, 1, row, stats, nullptr).front();
 }
 
 std::vector<NeighborResult> Laesa::KNearestWithPivotRow(
     std::string_view query, std::size_t k, const double* row,
     QueryStats* stats) const {
-  return SweepWithRow(query, k, row, stats);
+  return LaesaRowSweep(layout(), query, k, row, stats, nullptr);
 }
 
 NeighborResult Laesa::Nearest(std::string_view query,
                               QueryStats* stats) const {
-  return Sweep(query, 1, /*slack=*/1.0, stats).front();
+  return LaesaLazySweep(layout(), query, 1, /*slack=*/1.0, nullptr, stats,
+                        nullptr)
+      .front();
 }
 
 NeighborResult Laesa::NearestApprox(std::string_view query, double epsilon,
                                     QueryStats* stats) const {
-  if (epsilon < 0.0) {
-    throw std::invalid_argument("Laesa::NearestApprox: epsilon must be >= 0");
-  }
-  return Sweep(query, 1, 1.0 + epsilon, stats).front();
+  const double slack = ApproximationSlack(epsilon, "Laesa::NearestApprox");
+  return LaesaLazySweep(layout(), query, 1, slack, nullptr, stats, nullptr)
+      .front();
 }
 
 std::vector<NeighborResult> Laesa::KNearest(std::string_view query,
                                             std::size_t k,
                                             QueryStats* stats) const {
-  return Sweep(query, k, /*slack=*/1.0, stats);
+  return LaesaLazySweep(layout(), query, k, /*slack=*/1.0, nullptr, stats,
+                        nullptr);
 }
 
 NeighborResult Laesa::NearestMasked(std::string_view query,
                                     const std::uint64_t* tombstones,
                                     QueryStats* stats) const {
-  auto best = Sweep(query, 1, /*slack=*/1.0, stats, tombstones);
+  auto best = LaesaLazySweep(layout(), query, 1, /*slack=*/1.0, tombstones,
+                             stats, nullptr);
   if (best.empty()) {
     throw std::out_of_range("Laesa::NearestMasked: every prototype deleted");
   }
@@ -325,7 +178,8 @@ NeighborResult Laesa::NearestMasked(std::string_view query,
 std::vector<NeighborResult> Laesa::KNearestMasked(
     std::string_view query, std::size_t k, const std::uint64_t* tombstones,
     QueryStats* stats) const {
-  return Sweep(query, k, /*slack=*/1.0, stats, tombstones);
+  return LaesaLazySweep(layout(), query, k, /*slack=*/1.0, tombstones, stats,
+                        nullptr);
 }
 
 std::vector<NeighborResult> Laesa::RangeSearch(std::string_view query,
@@ -525,15 +379,6 @@ constexpr std::uint32_t kLaesaVersion = 1;
 // code table. f64 indexes keep writing version 1, byte-identical to every
 // snapshot produced before quantization existed.
 constexpr std::uint32_t kLaesaVersionQuant = 2;
-
-/// Range-checks a version-2 header's precision count (f64 snapshots are
-/// version 1 by construction, so 0 is rejected too).
-TablePrecision CheckedPrecision(std::uint64_t raw, const char* who) {
-  if (raw < 1 || raw > 3) {
-    throw std::runtime_error(std::string(who) + ": bad table precision");
-  }
-  return static_cast<TablePrecision>(static_cast<std::uint32_t>(raw));
-}
 }  // namespace
 
 void Laesa::Save(const std::string& path) const {
@@ -599,7 +444,7 @@ Laesa Laesa::Load(const std::string& path, PrototypeStoreRef prototypes,
     reader.Raw(index.pivot_dist_.data(), np * n * sizeof(double));
     return index;
   }
-  index.precision_ = CheckedPrecision(counts[2], "Laesa::Load");
+  index.precision_ = CheckedTablePrecision(counts[2], "Laesa::Load");
   const std::size_t width = TablePrecisionBytes(index.precision_);
   reader.RequireArray(np, sizeof(QuantRowMeta));
   index.row_meta_.resize(np);
@@ -646,7 +491,7 @@ Laesa Laesa::Map(const std::string& path, PrototypeStoreRef prototypes,
     index.mapping_ = reader.file();
     return index;
   }
-  index.precision_ = CheckedPrecision(counts[2], "Laesa::Map");
+  index.precision_ = CheckedTablePrecision(counts[2], "Laesa::Map");
   index.mapped_meta_ = reader.Array<QuantRowMeta>(np);
   // The code section is served zero-copy too: the sweep reads the narrow
   // elements straight off the page cache through the kernels' widening

@@ -25,15 +25,16 @@ namespace cned {
 /// that eliminate prototypes without computing their distance; candidates
 /// are visited in increasing lower-bound order, pivots first.
 ///
-/// The hot path is a flat structure-of-arrays sweep: surviving candidates
-/// live in packed index/lower-bound arrays. While pivots survive, one pass
-/// per visited pivot tightens them (a contiguous row of the pivot table),
-/// eliminates and compacts; once the pivots are spent the bounds are fixed
-/// and the survivors are visited from an in-place (bound, id) heap
-/// (sweep_kernel.h). No per-candidate pointer chasing, no per-query
-/// allocation (thread-local scratch), and the length-difference lower
-/// bound of the distance acts as a free "zeroth pivot" over the store's
-/// flat length array before any distance is computed.
+/// Queries run the shared LAESA sweep (search/laesa_sweep.h) over the
+/// whole store as one segment: surviving candidates live in packed
+/// index/lower-bound arrays. While pivots survive, one pass per visited
+/// pivot tightens them (a contiguous row of the pivot table), eliminates
+/// and compacts; once the pivots are spent the bounds are fixed and the
+/// survivors are visited from an in-place (bound, id) heap. No
+/// per-candidate pointer chasing, no per-query allocation (thread-local
+/// scratch), and the length-difference lower bound of the distance acts as
+/// a free "zeroth pivot" over the store's flat length array before any
+/// distance is computed.
 ///
 /// With a true metric the returned neighbour is exactly the nearest. The
 /// paper (and this reproduction) also runs LAESA with non-metric
@@ -186,21 +187,10 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
 
   void BuildTable();
 
-  /// The unified elimination sweep behind Nearest/NearestApprox/KNearest
-  /// and their masked variants (`tombstones` may be null: no masking): a
-  /// pivot phase of per-visit passes, then the fixed-bound tail.
-  std::vector<NeighborResult> Sweep(std::string_view query, std::size_t k,
-                                    double slack, QueryStats* stats,
-                                    const std::uint64_t* tombstones =
-                                        nullptr) const;
-
-  /// Row-consuming sweep behind the *WithPivotRow entry points: seeds the
-  /// incumbents with all pivot distances, applies every pivot-table row,
-  /// eliminates once, then visits the surviving non-pivots through the
-  /// fixed-bound tail.
-  std::vector<NeighborResult> SweepWithRow(std::string_view query,
-                                           std::size_t k, const double* row,
-                                           QueryStats* stats) const;
+  /// The index as one segment of the shared LAESA sweep
+  /// (search/laesa_sweep.h), which runs every nearest-neighbour query.
+  struct SweepLayout;
+  SweepLayout layout() const;
 
   /// The pivot table as a flat row-major view:
   /// table_data()[p * N + i] = d(store()[pivots_[p]], store()[i]); a

@@ -1,82 +1,16 @@
 #include "search/sharded_laesa.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <limits>
 #include <stdexcept>
 
 #include "common/binary_io.h"
 #include "common/parallel.h"
+#include "search/laesa_sweep.h"
 #include "search/pivot_selection.h"
 #include "search/sweep_kernel.h"
 #include "serve/shard_snapshot.h"
 
 namespace cned {
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Candidate work below which the pivot-phase shard passes run serially on the
-// calling thread. ParallelFor spawns and joins real threads (no pool), so a
-// pass must stream on the order of a million candidates — tens of
-// megabytes, hundreds of microseconds — before that dispatch pays for
-// itself; under the batch engine the nested call runs inline anyway.
-// Results are identical either way — only the execution schedule changes.
-constexpr std::size_t kParallelPassWork = 1 << 20;
-
-/// Thread-local per-shard bookkeeping: segment live counts and the
-/// per-shard kernel pass results. The packed candidate slabs themselves
-/// come from the shared `TlsSweepScratch` (segment s occupies
-/// [shard_base(s), shard_base(s) + live[s]) of the 64-byte-aligned slabs
-/// the kernels sweep). Owned per thread, so batched queries running under
-/// ParallelFor never share state.
-struct ShardedScratch {
-  std::vector<std::size_t> live;
-  std::vector<SweepCompactResult> pass;
-};
-
-ShardedScratch& TlsShardedScratch() {
-  thread_local ShardedScratch scratch;
-  return scratch;
-}
-
-// Packs the per-shard survivor segments [shard_base(s), +live[s]) to the
-// front of the slabs for the fixed-bound tail and returns their total.
-// Every destination starts at or below its source, so the moves can run
-// front to back.
-std::size_t PackSegments(const ShardedPrototypeStore& st,
-                         const std::vector<std::size_t>& live,
-                         std::uint32_t* idx, double* lower) {
-  std::size_t total = 0;
-  for (std::size_t sh = 0; sh < live.size(); ++sh) {
-    const std::size_t base = st.shard_base(sh);
-    if (base != total) {
-      std::memmove(idx + total, idx + base, live[sh] * sizeof(*idx));
-      std::memmove(lower + total, lower + base, live[sh] * sizeof(*lower));
-    }
-    total += live[sh];
-  }
-  return total;
-}
-
-// The fixed-bound tail's evaluation for a sharded sweep: each visit is
-// charged to its owning shard when per-shard stats are requested.
-auto ShardChargedEval(const StringDistance& distance, std::string_view query,
-                      const ShardedPrototypeStore& st,
-                      QueryStats* shard_stats) {
-  return [&distance, query, &st, shard_stats](std::size_t id, double cap) {
-    const double d = distance.DistanceBounded(query, st.view(id), cap);
-    if (shard_stats != nullptr) {
-      QueryStats& hs = shard_stats[st.ShardOf(id)];
-      hs.distance_computations += 1;
-      hs.bounded_abandons += d >= cap ? 1 : 0;
-    }
-    return d;
-  };
-}
-
-}  // namespace
 
 ShardedLaesa::ShardedLaesa(const ShardedPrototypeStore& store,
                            StringDistancePtr distance, std::size_t num_pivots,
@@ -160,190 +94,28 @@ void ShardedLaesa::BuildTables() {
   }
 }
 
-// The flat `Laesa::Sweep` with its pivot-phase pass partitioned by shard:
-// the visit loop below makes the same decisions on the same values in the
-// same order (incumbents, elimination bound, and the next-pivot merge that
-// resolves ties to the lowest global index, as the flat packed scan does),
-// so neighbours, distances and QueryStats are bit-identical to the
-// single-store index for every distance. Each shard's
-// tighten/eliminate/compact pass runs on the shared dispatched sweep
-// kernels (sweep_kernel.h) over that shard's slab segment — literally the
-// flat index's vector code, partitioned. Once no pivot survives, the
-// segments are packed to the front and the shared fixed-bound tail visits
-// the rest, exactly as in the flat index.
-std::vector<NeighborResult> ShardedLaesa::Sweep(std::string_view query,
-                                                std::size_t k, double slack,
-                                                QueryStats* stats,
-                                                QueryStats* shard_stats) const {
-  const ShardedPrototypeStore& st = *store_;
-  const std::size_t n = st.size();
-  const std::size_t shards = st.shard_count();
-  k = std::min(k, n);
-  if (k == 0) return {};
+// The sharded index as the shared sweep sees it (search/laesa_sweep.h): one
+// segment per shard, each over its own length array and table.
+struct ShardedLaesa::SweepLayout {
+  const StringDistance& distance;
+  const std::vector<std::size_t>& pivots;
+  const std::int32_t* pivot_rank;
+  std::size_t size;
+  const ShardedPrototypeStore& store;
+  const ShardedLaesa& index;
 
-  const SweepKernels& kern = ActiveSweepKernels();
-  SweepScratch& slabs = TlsSweepScratch();
-  slabs.idx.resize(n);
-  slabs.lower.resize(n);
-  ShardedScratch& scratch = TlsShardedScratch();
-  scratch.live.assign(shards, 0);
-  scratch.pass.assign(shards, SweepCompactResult{});
-  std::uint32_t* idx = slabs.idx.data();
-  double* lower = slabs.lower.data();
-
-  // Free zeroth pivot per shard: one flat pass over each shard's packed
-  // length array, writing straight into that shard's bound segment.
-  for (std::size_t s = 0; s < shards; ++s) {
-    const PrototypeStore& shard = st.shard(s);
-    distance_->LengthLowerBounds(query.size(), shard.lengths_data(),
-                                 shard.size(), lower + st.shard_base(s));
-    scratch.live[s] = shard.size();
+  std::size_t segment_count() const { return store.shard_count(); }
+  SweepSegment segment(std::size_t s) const {
+    return {store.shard_base(s), store.shard(s).size(),
+            store.shard(s).lengths_data(), index.shard_view(s)};
   }
-  std::size_t live_pivots = FillIotaCountPivots(idx, pivot_rank_.data(), n);
-  std::size_t total_live = n;
+  std::size_t segment_of(std::size_t id) const { return store.ShardOf(id); }
+  std::string_view view(std::size_t id) const { return store.view(id); }
+};
 
-  std::vector<NeighborResult> best;
-  best.reserve(k + 1);
-  auto kth = [&]() { return best.size() < k ? kInf : best.back().distance; };
-
-  std::uint64_t pivot_computations = 0, abandons = 0;
-
-  std::size_t s_cand = pivots_[0];  // start from the first base prototype
-  while (live_pivots > 0) {
-    const std::int32_t rank = pivot_rank_[s_cand];
-    const double d = distance_->DistanceBounded(query, st.view(s_cand), kInf);
-    ++pivot_computations;
-    const bool abandoned = d >= kInf;
-    if (abandoned) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {s_cand, d});
-    }
-    if (shard_stats != nullptr) {
-      QueryStats& hs = shard_stats[st.ShardOf(s_cand)];
-      hs.distance_computations += 1;
-      hs.bounded_abandons += abandoned ? 1 : 0;
-      hs.pivot_computations += 1;
-    }
-
-    const double bound = kth();
-    auto pass_fn = [&](std::size_t sh) {
-      const std::size_t base = st.shard_base(sh);
-      const std::size_t seg_live = scratch.live[sh];
-      QuantUpdateLowerPacked(kern, shard_view(sh),
-                             static_cast<std::size_t>(rank),
-                             st.shard(sh).size(), d, idx + base,
-                             static_cast<std::uint32_t>(base), lower + base,
-                             seg_live);
-      scratch.pass[sh] = kern.eliminate_and_compact_flagged(
-          idx + base, lower + base, pivot_rank_.data(), seg_live,
-          static_cast<std::uint32_t>(s_cand), slack, bound);
-    };
-    if (shards > 1 && total_live >= kParallelPassWork) {
-      ParallelFor(shards, pass_fn);
-    } else {
-      for (std::size_t sh = 0; sh < shards; ++sh) pass_fn(sh);
-    }
-
-    // Merge per-shard pivot minima in shard order with strict '<': the
-    // first occurrence wins, i.e. the lowest global index among ties —
-    // exactly the flat packed scan's choice.
-    total_live = 0;
-    s_cand = kSweepNone;
-    double s_key = kInf;
-    for (std::size_t sh = 0; sh < shards; ++sh) {
-      const SweepCompactResult& out = scratch.pass[sh];
-      scratch.live[sh] = out.live;
-      total_live += out.live;
-      live_pivots -= out.pivots_died;
-      if (out.next_pivot != kSweepNone && out.next_pivot_key < s_key) {
-        s_key = out.next_pivot_key;
-        s_cand = out.next_pivot;
-      }
-    }
-  }
-
-  const SweepTailCounts tail = VisitFixedBoundTail(
-      idx, lower, PackSegments(st, scratch.live, idx, lower), slack, k, best,
-      ShardChargedEval(*distance_, query, st, shard_stats));
-
-  if (stats != nullptr) {
-    stats->distance_computations += pivot_computations + tail.computations;
-    stats->bounded_abandons += abandons + tail.abandons;
-    stats->pivot_computations += pivot_computations;
-  }
-  return best;
-}
-
-// Row-consuming counterpart, mirroring `Laesa::SweepWithRow`: seed the
-// incumbents with every pivot distance, apply every table row per shard (a
-// streamed max with no elimination inside), eliminate against the seeded
-// k-th incumbent, then pack the surviving non-pivots to the front and visit
-// them through the same fixed-bound tail.
-std::vector<NeighborResult> ShardedLaesa::SweepWithRow(
-    std::string_view query, std::size_t k, const double* row,
-    QueryStats* stats, QueryStats* shard_stats) const {
-  const ShardedPrototypeStore& st = *store_;
-  const std::size_t n = st.size();
-  const std::size_t shards = st.shard_count();
-  const std::size_t p_count = pivots_.size();
-  k = std::min(k, n);
-  if (k == 0) return {};
-
-  const SweepKernels& kern = ActiveSweepKernels();
-  SweepScratch& slabs = TlsSweepScratch();
-  slabs.idx.resize(n);
-  slabs.lower.resize(n);
-  ShardedScratch& scratch = TlsShardedScratch();
-  scratch.live.assign(shards, 0);
-  std::uint32_t* idx = slabs.idx.data();
-  double* lower = slabs.lower.data();
-
-  for (std::size_t s = 0; s < shards; ++s) {
-    const PrototypeStore& shard = st.shard(s);
-    distance_->LengthLowerBounds(query.size(), shard.lengths_data(),
-                                 shard.size(), lower + st.shard_base(s));
-  }
-
-  std::vector<NeighborResult> best;
-  best.reserve(k + 1);
-  for (std::size_t p = 0; p < p_count; ++p) {
-    InsertNeighborTopK(best, k, {pivots_[p], row[p]}, /*admit_ties=*/true);
-  }
-
-  // Per shard: every pivot row applied with the dense streamed-max kernel,
-  // then one compact_seed pass packs the surviving non-pivots of that
-  // shard's segment.
-  const double seed_bound = best.size() < k ? kInf : best.back().distance;
-  auto stage_fn = [&](std::size_t sh) {
-    const std::size_t base = st.shard_base(sh);
-    const std::size_t n_sh = st.shard(sh).size();
-    double* slow = lower + base;
-    const QuantTableView view = shard_view(sh);
-    for (std::size_t p = 0; p < p_count; ++p) {
-      QuantUpdateLowerDense(kern, view, p, n_sh, row[p], slow);
-    }
-    scratch.live[sh] =
-        kern.compact_seed(slow, pivot_rank_.data() + base, n_sh,
-                          static_cast<std::uint32_t>(base), seed_bound,
-                          idx + base, slow)
-            .live;
-  };
-  if (shards > 1 && p_count * n >= kParallelPassWork) {
-    ParallelFor(shards, stage_fn);
-  } else {
-    for (std::size_t sh = 0; sh < shards; ++sh) stage_fn(sh);
-  }
-
-  const SweepTailCounts tail = VisitFixedBoundTail(
-      idx, lower, PackSegments(st, scratch.live, idx, lower), /*slack=*/1.0,
-      k, best, ShardChargedEval(*distance_, query, st, shard_stats));
-
-  if (stats != nullptr) {
-    stats->distance_computations += tail.computations;
-    stats->bounded_abandons += tail.abandons;
-  }
-  return best;
+ShardedLaesa::SweepLayout ShardedLaesa::layout() const {
+  return {*distance_, pivots_, pivot_rank_.data(), store_->size(), *store_,
+          *this};
 }
 
 void ShardedLaesa::ComputePivotRow(std::string_view query, double* row,
@@ -364,35 +136,38 @@ NeighborResult ShardedLaesa::Nearest(std::string_view query,
 
 NeighborResult ShardedLaesa::Nearest(std::string_view query, QueryStats* stats,
                                      QueryStats* shard_stats) const {
-  return Sweep(query, 1, /*slack=*/1.0, stats, shard_stats).front();
+  return LaesaLazySweep(layout(), query, 1, /*slack=*/1.0, nullptr, stats,
+                        shard_stats)
+      .front();
 }
 
 NeighborResult ShardedLaesa::NearestApprox(std::string_view query,
                                            double epsilon,
                                            QueryStats* stats) const {
-  if (epsilon < 0.0) {
-    throw std::invalid_argument(
-        "ShardedLaesa::NearestApprox: epsilon must be >= 0");
-  }
-  return Sweep(query, 1, 1.0 + epsilon, stats, nullptr).front();
+  const double slack =
+      ApproximationSlack(epsilon, "ShardedLaesa::NearestApprox");
+  return LaesaLazySweep(layout(), query, 1, slack, nullptr, stats, nullptr)
+      .front();
 }
 
 std::vector<NeighborResult> ShardedLaesa::KNearest(std::string_view query,
                                                    std::size_t k,
                                                    QueryStats* stats) const {
-  return Sweep(query, k, /*slack=*/1.0, stats, nullptr);
+  return LaesaLazySweep(layout(), query, k, /*slack=*/1.0, nullptr, stats,
+                        nullptr);
 }
 
 std::vector<NeighborResult> ShardedLaesa::KNearest(
     std::string_view query, std::size_t k, QueryStats* stats,
     QueryStats* shard_stats) const {
-  return Sweep(query, k, /*slack=*/1.0, stats, shard_stats);
+  return LaesaLazySweep(layout(), query, k, /*slack=*/1.0, nullptr, stats,
+                        shard_stats);
 }
 
 NeighborResult ShardedLaesa::NearestWithPivotRow(std::string_view query,
                                                  const double* row,
                                                  QueryStats* stats) const {
-  return SweepWithRow(query, 1, row, stats, nullptr).front();
+  return LaesaRowSweep(layout(), query, 1, row, stats, nullptr).front();
 }
 
 NeighborResult ShardedLaesa::NearestWithPivotRow(std::string_view query,
@@ -400,19 +175,19 @@ NeighborResult ShardedLaesa::NearestWithPivotRow(std::string_view query,
                                                  QueryStats* stats,
                                                  QueryStats* shard_stats)
     const {
-  return SweepWithRow(query, 1, row, stats, shard_stats).front();
+  return LaesaRowSweep(layout(), query, 1, row, stats, shard_stats).front();
 }
 
 std::vector<NeighborResult> ShardedLaesa::KNearestWithPivotRow(
     std::string_view query, std::size_t k, const double* row,
     QueryStats* stats) const {
-  return SweepWithRow(query, k, row, stats, nullptr);
+  return LaesaRowSweep(layout(), query, k, row, stats, nullptr);
 }
 
 std::vector<NeighborResult> ShardedLaesa::KNearestWithPivotRow(
     std::string_view query, std::size_t k, const double* row,
     QueryStats* stats, QueryStats* shard_stats) const {
-  return SweepWithRow(query, k, row, stats, shard_stats);
+  return LaesaRowSweep(layout(), query, k, row, stats, shard_stats);
 }
 
 namespace {
@@ -423,13 +198,6 @@ constexpr std::uint32_t kShardedLaesaVersion = 1;
 // QuantRowMeta[np], then each shard's code table elem[np * n_s]. f64
 // indices keep writing version 1 byte-identically.
 constexpr std::uint32_t kShardedLaesaVersionQuant = 2;
-
-TablePrecision CheckedShardPrecision(std::uint64_t raw, const char* who) {
-  if (raw < 1 || raw > 3) {
-    throw std::runtime_error(std::string(who) + ": bad table precision");
-  }
-  return static_cast<TablePrecision>(static_cast<std::uint32_t>(raw));
-}
 }  // namespace
 
 void ShardedLaesa::Save(const std::string& path) const {
@@ -584,7 +352,7 @@ ShardedLaesa ShardedLaesa::Load(const std::string& path,
       reader.Raw(index.tables_[s].data(), np * sizes[s] * sizeof(double));
     }
   } else {
-    index.precision_ = CheckedShardPrecision(counts[3], "ShardedLaesa::Load");
+    index.precision_ = CheckedTablePrecision(counts[3], "ShardedLaesa::Load");
     const std::size_t width = TablePrecisionBytes(index.precision_);
     reader.RequireArray(np, sizeof(QuantRowMeta));
     index.row_meta_.resize(np);
@@ -647,7 +415,7 @@ ShardedLaesa ShardedLaesa::Map(const std::string& path,
       index.mapped_tables_[s] = reader.Array<double>(np * sizes[s]);
     }
   } else {
-    index.precision_ = CheckedShardPrecision(counts[3], "ShardedLaesa::Map");
+    index.precision_ = CheckedTablePrecision(counts[3], "ShardedLaesa::Map");
     const std::size_t width = TablePrecisionBytes(index.precision_);
     index.mapped_meta_ = reader.Array<QuantRowMeta>(np);
     index.mapped_quants_.resize(shards);

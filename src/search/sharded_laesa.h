@@ -25,17 +25,14 @@ namespace cned {
 /// are prototypes, so their own lower bounds come out of the same tables
 /// and they remain adaptive candidates of their home shard.
 ///
-/// Query execution runs the *identical* approximating-and-eliminating
-/// sweep as the flat index: one global visit loop (incumbents, elimination
-/// threshold and the next-candidate choice are global decisions, ties
-/// resolved by lowest global index exactly as the flat packed scan does).
-/// In the pivot phase each visit's tighten/eliminate/compact pass is
-/// partitioned by shard and fanned out through `ParallelFor` when enough
-/// candidates survive to amortise the dispatch; every shard pass touches
-/// only its own contiguous candidate segment and its own table rows, and
-/// the per-shard minima are merged in shard order. Once no pivot survives,
-/// the segments are packed to the front of the slab and the flat index's
-/// fixed-bound tail (sweep_kernel.h) visits the rest. So neighbours,
+/// Query execution runs the shared LAESA sweep (search/laesa_sweep.h)
+/// that the flat index runs, with one segment per shard: incumbents, the
+/// elimination threshold and the next-candidate choice are global
+/// decisions (ties resolved by lowest global index), while each pass is
+/// partitioned by shard — every shard pass touches only its own contiguous
+/// candidate segment and its own table rows, fanned out through
+/// `ParallelFor` when enough candidates survive to amortise the dispatch,
+/// and the per-shard minima are merged in shard order. So neighbours,
 /// distances *and* `QueryStats` are bit-identical to the single-store
 /// `Laesa` on every distance, metric or not, regardless of shard count or
 /// thread schedule.
@@ -43,7 +40,7 @@ namespace cned {
 /// The `*WithPivotRow` entry points are the sharded half of the batch
 /// engine's two-stage pipeline (see pivot_stage.h): the engine evaluates
 /// the query x pivot block once for the whole batch and each sweep then
-/// consumes its precomputed row — per-shard row application in parallel,
+/// consumes its precomputed row — per-shard row seeding in parallel,
 /// followed by the same fixed-bound tail over the survivors.
 class ShardedLaesa final : public NearestNeighborSearcher,
                            public PivotStageSearcher,
@@ -190,18 +187,10 @@ class ShardedLaesa final : public NearestNeighborSearcher,
 
   void BuildTables();
 
-  /// The global adaptive sweep (lazy pivot evaluation — the per-query
-  /// path): shard-partitioned passes while pivots survive, then the
-  /// fixed-bound tail over the packed survivors.
-  std::vector<NeighborResult> Sweep(std::string_view query, std::size_t k,
-                                    double slack, QueryStats* stats,
-                                    QueryStats* shard_stats) const;
-
-  /// The row-consuming sweep behind the *WithPivotRow entry points.
-  std::vector<NeighborResult> SweepWithRow(std::string_view query,
-                                           std::size_t k, const double* row,
-                                           QueryStats* stats,
-                                           QueryStats* shard_stats) const;
+  /// The index as the shared LAESA sweep's segments, one per shard
+  /// (search/laesa_sweep.h), which runs every nearest-neighbour query.
+  struct SweepLayout;
+  SweepLayout layout() const;
 
   /// Shard s's pivot table as a flat row-major view:
   /// shard_table(s)[p * n_s + j] = d(pivot_p, shard s's j-th prototype).

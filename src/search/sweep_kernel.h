@@ -14,13 +14,19 @@ namespace cned {
 
 /// The shared elimination core of the LAESA family.
 ///
-/// Every LAESA-shaped sweep in the library — `Laesa::Sweep`,
-/// `Laesa::SweepWithRow`, `Laesa::RangeSearch` and `ShardedLaesa`'s
-/// sweeps (and through them `MutableLaesa` and the batch engine's
-/// pivot-stage pipeline) — runs over packed candidate slabs in two phases.
+/// Every LAESA-shaped sweep in the library runs on these kernels:
+///   * the one in-process sweep (search/laesa_sweep.h, lazy and pivot-row
+///     entry points) behind `Laesa` and `ShardedLaesa` — and through them
+///     `MutableLaesa` and the batch engine's pivot-stage pipeline — over
+///     one segment per shard (a flat index is one segment);
+///   * its row seed stage, `SeedSegmentFromRow`, also run by the serving
+///     tier's shard worker (`ShardReplica::BeginRow`), whose visit steps
+///     (`ShardReplica::StepRow`) the router's `RowSweep` drives;
+///   * `Laesa::RangeSearch`'s dense pivot phase.
 ///
-/// While pivot rows are still being applied, every visit changes the
-/// bounds, so each step is a data-parallel pass:
+/// A sweep runs over packed candidate slabs in two phases. While pivot
+/// rows are still being applied, every visit changes the bounds, so each
+/// step is a data-parallel pass:
 ///
 ///   1. tighten lower bounds with a visited pivot's table row
 ///      (`update_lower_*`: fused abs-diff + running max),
@@ -39,7 +45,7 @@ namespace cned {
 /// variable or `SetActiveSweepKernels`.
 ///
 /// Once no pivot row is left to apply, every survivor's bound is fixed and
-/// only the incumbent still moves. The sweeps then hand the survivors to
+/// only the incumbent still moves. The in-process sweep then hands them to
 /// `VisitFixedBoundTail`, which heapifies them in place on (bound, id) and
 /// pops them in that order until the top is eliminated — O(log live) per
 /// visit instead of one O(live) pass (see that function for why the visit
@@ -112,7 +118,7 @@ struct SweepKernels {
   /// Packed (gather) row application over the live slice: for r in
   /// [0, live), lower[r] = max(lower[r], |d - row[idx[r] - base]|).
   /// `base` is the shard base so idx's global ids index the shard-local
-  /// row; 0 for the flat index. Used by the lazy sweeps after each visited
+  /// row; 0 for the flat index. Used by the lazy sweep after each visited
   /// pivot.
   void (*update_lower_packed)(double d, const double* row,
                               const std::uint32_t* idx, std::uint32_t base,
@@ -176,7 +182,7 @@ struct SweepKernels {
                                               std::uint32_t skip,
                                               double bound);
 
-  /// Eliminate + compact for the pivot phase of the lazy sweeps: same as
+  /// Eliminate + compact for the pivot phase of the lazy sweep: same as
   /// above with the approximation slack applied — keeps idx[r] iff
   ///   idx[r] != skip  &&  !(lower[r] * slack >= bound)
   /// — plus pivot bookkeeping: pivot_rank is indexed by candidate id
@@ -223,18 +229,22 @@ const SweepKernels& ActiveSweepKernels();
 /// not for concurrent flipping mid-query.
 bool SetActiveSweepKernels(std::string_view name);
 
-/// Thread-local 64-byte-aligned candidate slabs shared by the sweeps.
-/// Reused across queries (zero steady-state allocations) and owned per
-/// thread, so batched queries running under ParallelFor never share state.
+/// Thread-local 64-byte-aligned candidate slabs shared by the sweeps, plus
+/// the segmented sweep's per-segment live counts and pass results
+/// (search/laesa_sweep.h). Reused across queries (zero steady-state
+/// allocations) and owned per thread, so batched queries running under
+/// ParallelFor never share state.
 struct SweepScratch {
   AlignedBuffer<std::uint32_t> idx;
   AlignedBuffer<double> lower;
+  std::vector<std::size_t> segment_live;
+  std::vector<SweepCompactResult> segment_pass;
 };
 SweepScratch& TlsSweepScratch();
 
 /// Shared candidate-slab initialisation: idx[i] = i for i in [0, n), and
 /// returns the number of ids with pivot_rank[id] >= 0 — the live-pivot
-/// count the lazy sweeps start from (duplicate pivots_ entries occupy one
+/// count the lazy sweep starts from (duplicate pivots_ entries occupy one
 /// candidate slot, hence counting ranks, not table rows).
 std::size_t FillIotaCountPivots(std::uint32_t* idx,
                                 const std::int32_t* pivot_rank,
@@ -258,13 +268,13 @@ struct SweepTailCounts {
   std::uint64_t abandons = 0;
 };
 
-/// The last phase of every in-process LAESA sweep, entered once no pivot
-/// row is left to apply: [0, live) of idx/lower holds the survivors of the
-/// last eliminate-and-compact (or compact_seed) pass, and `best` the
-/// current top-k incumbents. Heapifies the survivors on (lower, id), then
-/// repeatedly takes the root, stops at the first root with
-/// `lower * slack >= kth` (kth = the k-th incumbent, +inf while fewer than
-/// k are held), and otherwise pops it and calls `evaluate(id, cap)` with
+/// The last phase of the in-process LAESA sweep (laesa_sweep.h), entered
+/// once no pivot row is left to apply: [0, live) of idx/lower holds the
+/// survivors of the last eliminate-and-compact (or compact_seed) pass, and
+/// `best` the current top-k incumbents. Heapifies the survivors on
+/// (lower, id), then repeatedly takes the root, stops at the first root
+/// with `lower * slack >= kth` (kth = the k-th incumbent, +inf while fewer
+/// than k are held), and otherwise pops it and calls `evaluate(id, cap)` with
 /// cap = kth — the value is `DistanceBounded(query, id, cap)`, abandoned
 /// when `>= cap`, inserted into `best` under the strict-improvement rule
 /// otherwise.
@@ -278,9 +288,9 @@ struct SweepTailCounts {
 /// unvisited candidates with `lower * slack < kth`, and its next visit —
 /// their minimum by (lower, id) — is the heap root whenever that root
 /// passes the test; when the root fails, every candidate does, and the
-/// classic loop would have emptied its slab. Sharded sweeps pack their
-/// shard segments to the front first: shards hold ascending contiguous id
-/// ranges, so the shard-order tie rule of their merge is the lowest global
+/// classic loop would have emptied its slab. A multi-segment sweep packs
+/// its segments to the front first: segments hold ascending contiguous id
+/// ranges, so the segment-order tie rule of its merge is the lowest global
 /// id as well.
 template <typename Evaluate>
 SweepTailCounts VisitFixedBoundTail(std::uint32_t* idx, double* lower,

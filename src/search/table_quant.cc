@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace cned {
 namespace {
@@ -59,6 +60,15 @@ bool ParseTablePrecision(std::string_view name, TablePrecision* out) {
     return false;
   }
   return true;
+}
+
+TablePrecision CheckedTablePrecision(std::uint64_t raw, const char* who,
+                                     const std::string& source) {
+  if (raw < 1 || raw > 3) {
+    throw std::runtime_error(std::string(who) + ": bad table precision" +
+                             (source.empty() ? "" : " (" + source + ")"));
+  }
+  return static_cast<TablePrecision>(static_cast<std::uint32_t>(raw));
 }
 
 std::size_t TablePrecisionBytes(TablePrecision precision) {

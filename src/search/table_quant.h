@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <string_view>
 
 #include "search/sweep_kernel.h"
@@ -52,6 +53,14 @@ const char* TablePrecisionName(TablePrecision precision);
 /// Parses a precision name; returns false (leaving *out alone) on an
 /// unknown name.
 bool ParseTablePrecision(std::string_view name, TablePrecision* out);
+
+/// The precision a quantized (version 2) binary snapshot header stores as
+/// its raw enum value: f32, f16 or u8 (f64 snapshots are version 1 by
+/// construction, so 0 is rejected too). Throws std::runtime_error
+/// "<who>: bad table precision", followed by " (<source>)" when `source`
+/// names the file, for any other value.
+TablePrecision CheckedTablePrecision(std::uint64_t raw, const char* who,
+                                     const std::string& source = "");
 
 /// Bytes per stored table element: 8, 4, 2 or 1.
 std::size_t TablePrecisionBytes(TablePrecision precision);

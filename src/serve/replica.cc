@@ -6,6 +6,7 @@
 
 #include "common/binary_io.h"
 #include "distances/registry.h"
+#include "search/laesa_sweep.h"
 #include "search/sharded_laesa.h"
 #include "serve/shard_snapshot.h"
 
@@ -70,12 +71,7 @@ ShardReplica::ShardReplica(const std::string& store_path,
   if (version == kShardSliceVersionQuant) {
     // v2 leads with the {precision, reserved} section (shard_snapshot.h).
     const std::uint64_t* prec = reader.Array<std::uint64_t>(2);
-    if (prec[0] < 1 || prec[0] > 3) {
-      throw std::runtime_error("ShardReplica: bad table precision (" +
-                               index_path + ")");
-    }
-    precision_ =
-        static_cast<TablePrecision>(static_cast<std::uint32_t>(prec[0]));
+    precision_ = CheckedTablePrecision(prec[0], "ShardReplica", index_path);
   }
   const std::uint64_t* pivots = reader.Array<std::uint64_t>(np);
   pivots_.assign(pivots, pivots + np);
@@ -200,23 +196,14 @@ SweepCompactResult ShardReplica::BeginRow(std::uint32_t qid,
                                           double seed_bound) {
   SweepSlot& slot = NewSlot(qid);
   slot.query.assign(query);
-  const std::size_t n_s = store_.size();
-  const SweepKernels& kern = ActiveSweepKernels();
-  distance_->LengthLowerBounds(slot.query.size(), store_.lengths_data(), n_s,
-                               slot.lower.data());
-  const QuantTableView view = table_view();
-  for (std::size_t p = 0; p < pivots_.size(); ++p) {
-    QuantUpdateLowerDense(kern, view, p, n_s, row[p], slot.lower.data());
-  }
   // Tombstoned base slots go to +inf before the seed compaction, so the
   // row path can never admit a deleted prototype either — no protocol
   // change needed: the mask rides the shard's own state.
-  if (base_dead_ > 0) {
-    ApplyTombstoneMask(tombs_.data(), n_s, slot.lower.data());
-  }
-  const SweepCompactResult out = kern.compact_seed(
-      slot.lower.data(), pivot_rank_.data() + base_, n_s,
-      static_cast<std::uint32_t>(base_), seed_bound, slot.idx.data(),
+  const SweepSegment seg{base_, store_.size(), store_.lengths_data(),
+                         table_view()};
+  const SweepCompactResult out = SeedSegmentFromRow(
+      *distance_, slot.query, seg, row, pivots_.size(), pivot_rank_.data(),
+      base_dead_ > 0 ? tombs_.data() : nullptr, seed_bound, slot.idx.data(),
       slot.lower.data());
   slot.live = out.live;
   return out;

@@ -22,14 +22,16 @@ namespace cned {
 /// prototypes, its slice of the pivot table, and that shard's segment of
 /// the candidate slabs.
 ///
-/// A replica is the per-shard loop body of `ShardedLaesa::SweepWithRow`
-/// (the pivot-row sweep) cut out and given its own state. It runs exactly
-/// the same dispatched kernels over exactly the same per-shard values
-/// (sweep_kernel.h), and the router merges its `SweepCompactResult`s the
-/// same way the in-process index merges its per-shard passes — which is
-/// what makes a healthy served query bit-identical (neighbours, distances
-/// AND QueryStats) to the in-process `ComputePivotRow` +
-/// `KNearestWithPivotRow`. The lazy sweep runs only in process.
+/// A replica is one segment of the in-process pivot-row sweep
+/// (search/laesa_sweep.h) cut out and given its own state: `BeginRow` runs
+/// the very seed stage the in-process sweep runs per shard
+/// (`SeedSegmentFromRow`), every step the same dispatched kernels over the
+/// same per-shard values (sweep_kernel.h), and the router merges its
+/// `SweepCompactResult`s the way the in-process sweep merges its segment
+/// passes — which is what makes a healthy served query bit-identical
+/// (neighbours, distances AND QueryStats) to the in-process
+/// `ComputePivotRow` + `KNearestWithPivotRow`. The lazy sweep runs only in
+/// process.
 ///
 /// Multiplexing: sweep state lives in per-query slots keyed by the frame
 /// layer's query id, so one replica serves any number of interleaved
@@ -103,9 +105,10 @@ class ShardReplica {
   std::size_t delta_dead() const { return delta_dead_; }
   std::size_t total_dead() const { return base_dead_ + delta_dead_; }
 
-  /// Starts a row sweep in `qid`'s slot: length bounds, every pivot row
-  /// applied dense, then the seed compaction against `seed_bound`. Returns
-  /// the segment's compact result.
+  /// Starts a row sweep in `qid`'s slot: the shared seed stage
+  /// `SeedSegmentFromRow` (length bounds, every pivot row applied dense,
+  /// this shard's tombstones, then the seed compaction against
+  /// `seed_bound`). Returns the segment's compact result.
   SweepCompactResult BeginRow(std::uint32_t qid, std::string_view query,
                               const double* row, double seed_bound);
 

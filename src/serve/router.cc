@@ -81,8 +81,8 @@ constexpr std::uint32_t kReplyType =
 
 }  // namespace
 
-// The distributed `ShardedLaesa::SweepWithRow`: every decision of the row
-// sweep, in one place — read side by side with sharded_laesa.cc. Both
+// The distributed `LaesaRowSweep`: every decision of the row sweep, in one
+// place — read side by side with search/laesa_sweep.h. Both
 // drivers run it and keep only their transport: `QueryRow` blocks on
 // Broadcast/GroupEval (retries, failover, hedging, the delta phase),
 // `DriveSweeps` multiplexes buffered legs and bails to the robust path on

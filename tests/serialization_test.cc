@@ -22,6 +22,7 @@
 #include "search/laesa.h"
 #include "search/sharded_laesa.h"
 #include "search/table_quant.h"
+#include "serve/replica.h"
 #include "tests/snapshot_test_util.h"
 
 namespace cned {
@@ -622,6 +623,48 @@ TEST(SerializationTest, QuantizedLoadRejectsCorruptPrecisionAndTruncation) {
       FAIL() << "expected version mismatch";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+    }
+  }
+  {
+    // The same precision check guards the sharded v2 format (tag at
+    // counts[3]) and a v2 shard slice opened by a serving worker (tag in
+    // the {precision, reserved} section right after the 64-byte header),
+    // each with the loader's own message.
+    ShardedPrototypeStore sharded(words, 3);
+    ShardedLaesa index(sharded, dist, 4, /*first_pivot=*/0,
+                       TablePrecision::kU8);
+    TempFile file("quant_sharded_bad_prec");
+    TempFile slice("quant_slice_bad_prec");
+    TempFile slice_store("quant_slice_store");
+    sharded.shard(0).SaveBinary(slice_store.path());
+    auto expect_rejected = [](auto&& open, const std::string& message) {
+      try {
+        open();
+        FAIL() << "expected: " << message;
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), message);
+      }
+    };
+    for (const std::uint64_t bogus : {std::uint64_t{0}, std::uint64_t{7}}) {
+      index.Save(file.path());
+      auto bytes = ReadAll(file.path());
+      std::memcpy(bytes.data() + 16 + 3 * sizeof(std::uint64_t), &bogus,
+                  sizeof(bogus));
+      WriteAllRestamped(file.path(), bytes);
+      expect_rejected(
+          [&] { (void)ShardedLaesa::Load(file.path(), sharded, dist); },
+          "ShardedLaesa::Load: bad table precision");
+      expect_rejected(
+          [&] { (void)ShardedLaesa::Map(file.path(), sharded, dist); },
+          "ShardedLaesa::Map: bad table precision");
+
+      index.SaveShard(0, slice.path());
+      bytes = ReadAll(slice.path());
+      std::memcpy(bytes.data() + kBinaryAlignment, &bogus, sizeof(bogus));
+      WriteAllRestamped(slice.path(), bytes);
+      expect_rejected(
+          [&] { (void)ShardReplica(slice_store.path(), slice.path(), "dE"); },
+          "ShardReplica: bad table precision (" + slice.path() + ")");
     }
   }
   {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "datasets/dictionary_gen.h"
 #include "datasets/perturb.h"
@@ -9,6 +11,7 @@
 #include "search/condensing.h"
 #include "search/exhaustive.h"
 #include "search/laesa.h"
+#include "search/sharded_laesa.h"
 
 namespace cned {
 namespace {
@@ -130,6 +133,19 @@ TEST(LaesaApproxTest, RejectsNegativeEpsilon) {
   auto protos = Dict(20, 1907);
   Laesa laesa(protos, MakeDistance("dE"), 4);
   EXPECT_THROW(laesa.NearestApprox("abc", -0.5), std::invalid_argument);
+}
+
+TEST(LaesaApproxTest, RejectsNanEpsilonFlatAndSharded) {
+  // A NaN slack would make every elimination test false: the sweep would
+  // silently evaluate every prototype. Both indexes must refuse it.
+  auto protos = Dict(40, 1908);
+  auto dist = MakeDistance("dC");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Laesa flat(protos, dist, 6);
+  EXPECT_THROW(flat.NearestApprox("hallo", nan), std::invalid_argument);
+  ShardedPrototypeStore store(protos, 3);
+  ShardedLaesa sharded(store, dist, 6);
+  EXPECT_THROW(sharded.NearestApprox("hallo", nan), std::invalid_argument);
 }
 
 }  // namespace
