@@ -105,19 +105,22 @@ struct Laesa::SweepLayout {
   std::size_t size;
   const PrototypeStore& store;
   QuantTableView table;
+  const std::uint64_t* tombstones;
 
   std::size_t segment_count() const { return 1; }
   SweepSegment segment(std::size_t) const {
-    return {0, size, store.lengths_data(), table};
+    return {0, size, store.lengths_data(), table, pivot_rank, tombstones};
   }
   std::size_t segment_of(std::size_t) const { return 0; }
   std::string_view view(std::size_t id) const { return store[id]; }
 };
 
-Laesa::SweepLayout Laesa::layout() const {
-  return {*distance_, pivots_, pivot_rank_.data(), store().size(), store(),
-          table_view()};
+Laesa::SweepLayout Laesa::layout(const std::uint64_t* tombstones) const {
+  return {*distance_, pivots_,      pivot_rank_.data(), store().size(),
+          store(),    table_view(), tombstones};
 }
+
+SweepSegment Laesa::sweep_segment() const { return layout().segment(0); }
 
 void Laesa::ComputePivotRow(std::string_view query, double* row,
                             QueryStats* stats) const {
@@ -145,40 +148,26 @@ std::vector<NeighborResult> Laesa::KNearestWithPivotRow(
 
 NeighborResult Laesa::Nearest(std::string_view query,
                               QueryStats* stats) const {
-  return LaesaLazySweep(layout(), query, 1, /*slack=*/1.0, nullptr, stats,
-                        nullptr)
+  return LaesaLazySweep(layout(), query, 1, /*slack=*/1.0, stats, nullptr)
       .front();
 }
 
 NeighborResult Laesa::NearestApprox(std::string_view query, double epsilon,
                                     QueryStats* stats) const {
   const double slack = ApproximationSlack(epsilon, "Laesa::NearestApprox");
-  return LaesaLazySweep(layout(), query, 1, slack, nullptr, stats, nullptr)
-      .front();
+  return LaesaLazySweep(layout(), query, 1, slack, stats, nullptr).front();
 }
 
 std::vector<NeighborResult> Laesa::KNearest(std::string_view query,
                                             std::size_t k,
                                             QueryStats* stats) const {
-  return LaesaLazySweep(layout(), query, k, /*slack=*/1.0, nullptr, stats,
-                        nullptr);
-}
-
-NeighborResult Laesa::NearestMasked(std::string_view query,
-                                    const std::uint64_t* tombstones,
-                                    QueryStats* stats) const {
-  auto best = LaesaLazySweep(layout(), query, 1, /*slack=*/1.0, tombstones,
-                             stats, nullptr);
-  if (best.empty()) {
-    throw std::out_of_range("Laesa::NearestMasked: every prototype deleted");
-  }
-  return best.front();
+  return LaesaLazySweep(layout(), query, k, /*slack=*/1.0, stats, nullptr);
 }
 
 std::vector<NeighborResult> Laesa::KNearestMasked(
     std::string_view query, std::size_t k, const std::uint64_t* tombstones,
     QueryStats* stats) const {
-  return LaesaLazySweep(layout(), query, k, /*slack=*/1.0, tombstones, stats,
+  return LaesaLazySweep(layout(tombstones), query, k, /*slack=*/1.0, stats,
                         nullptr);
 }
 

@@ -14,6 +14,8 @@
 
 namespace cned {
 
+struct SweepSegment;
+
 /// LAESA — Linear Approximating and Eliminating Search Algorithm
 /// (Micó, Oncina & Vidal, Pattern Recognition Letters 1994).
 ///
@@ -101,19 +103,15 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
                                           double radius,
                                           QueryStats* stats = nullptr) const;
 
-  /// Tombstone-masked variants for the mutable tier (mutable_laesa.h):
-  /// `tombstones` is a packed bitmap over prototype slots (bit i set =
-  /// deleted, TombstoneWords(size()) words). Masked slots are eliminated
-  /// *inside* the sweep compaction before anything is visited — their
-  /// bounds are forced to +inf and one flagged compaction pass drops them
-  /// from the packed slab (see sweep_kernel.h) — so a deleted prototype is
-  /// never evaluated, never returned and never counted, at every
-  /// table_precision and under every kernel variant. A null bitmap is the
-  /// plain sweep, bit-identical to Nearest/KNearest including QueryStats.
-  /// NearestMasked throws std::out_of_range when every slot is deleted.
-  NeighborResult NearestMasked(std::string_view query,
-                               const std::uint64_t* tombstones,
-                               QueryStats* stats = nullptr) const;
+  /// Tombstone-masked KNearest: `tombstones` is a packed bitmap over
+  /// prototype slots (bit i set = deleted, TombstoneWords(size()) words).
+  /// Masked slots are eliminated *inside* the sweep compaction before
+  /// anything is visited — their bounds are forced to +inf and one flagged
+  /// compaction pass drops them from the packed slab (see sweep_kernel.h) —
+  /// so a deleted prototype is never evaluated, never returned and never
+  /// counted, at every table_precision and under every kernel variant. A
+  /// null bitmap is the plain sweep, bit-identical to KNearest including
+  /// QueryStats.
   std::vector<NeighborResult> KNearestMasked(std::string_view query,
                                              std::size_t k,
                                              const std::uint64_t* tombstones,
@@ -171,6 +169,11 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   std::size_t num_pivots() const { return pivots_.size(); }
   const std::vector<std::size_t>& pivots() const { return pivots_; }
 
+  /// The index as one segment of the shared sweep (laesa_sweep.h): the
+  /// base segment the mutable tier (mutable_laesa.h) sweeps in front of
+  /// its insert delta. Views into this index; no tombstones.
+  SweepSegment sweep_segment() const;
+
   /// The prototype set the index searches over.
   const PrototypeStore& store() const { return prototypes_.get(); }
 
@@ -190,7 +193,7 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   /// The index as one segment of the shared LAESA sweep
   /// (search/laesa_sweep.h), which runs every nearest-neighbour query.
   struct SweepLayout;
-  SweepLayout layout() const;
+  SweepLayout layout(const std::uint64_t* tombstones = nullptr) const;
 
   /// The pivot table as a flat row-major view:
   /// table_data()[p * N + i] = d(store()[pivots_[p]], store()[i]); a

@@ -9,11 +9,8 @@ SweepCompactResult SeedSegmentFromRow(const StringDistance& distance,
                                       std::string_view query,
                                       const SweepSegment& seg,
                                       const double* row,
-                                      std::size_t num_pivots,
-                                      const std::int32_t* pivot_rank,
-                                      const std::uint64_t* tombstones,
-                                      double bound, std::uint32_t* idx,
-                                      double* lower) {
+                                      std::size_t num_pivots, double bound,
+                                      std::uint32_t* idx, double* lower) {
   const SweepKernels& kern = ActiveSweepKernels();
   distance.LengthLowerBounds(query.size(), seg.lengths, seg.size, lower);
   for (std::size_t p = 0; p < num_pivots; ++p) {
@@ -22,10 +19,20 @@ SweepCompactResult SeedSegmentFromRow(const StringDistance& distance,
   // Masked slots go to +inf before the compaction (every row update is a
   // running max, so the order is immaterial), so a deleted prototype is
   // never admitted.
-  if (tombstones != nullptr) ApplyTombstoneMask(tombstones, seg.size, lower);
-  return kern.compact_seed(lower, pivot_rank + seg.base, seg.size,
-                           static_cast<std::uint32_t>(seg.base), bound, idx,
-                           lower);
+  if (seg.tombstones != nullptr) {
+    ApplyTombstoneMask(seg.tombstones, seg.size, lower);
+  }
+  const auto base = static_cast<std::uint32_t>(seg.base);
+  if (seg.rank != nullptr) {
+    return kern.compact_seed(lower, seg.rank, seg.size, base, bound, idx,
+                             lower);
+  }
+  // No pivot to skip (an insert delta): the seed compaction is the plain
+  // eliminate-and-compact over the ascending ids, with the same keep rule
+  // and the same minimal-bound survivor.
+  FillIotaCountPivots(idx, nullptr, seg.size, base);
+  return kern.eliminate_and_compact(idx, lower, seg.size,
+                                    /*skip=*/0xFFFFFFFFu, bound);
 }
 
 double ApproximationSlack(double epsilon, const char* who) {

@@ -17,13 +17,15 @@
 
 namespace cned {
 
-/// The one in-process LAESA elimination sweep, shared by `Laesa` and
-/// `ShardedLaesa` (and through them `MutableLaesa` and the batch engine).
+/// The one in-process LAESA elimination sweep, shared by `Laesa`,
+/// `ShardedLaesa` and `MutableLaesa` (and through them the batch engine).
 ///
 /// An index describes its candidates as S contiguous segments of global
 /// ids — a flat index is one segment over the whole store, a sharded index
-/// one segment per shard — each with its own packed length array and its
-/// own row-major pivot table. The sweep runs every data-parallel pass per
+/// one segment per shard, a mutable index its base then its insert delta
+/// (no pivots; one table column per base pivot, paid at insert) — each
+/// with its own packed length array, row-major pivot table and tombstone
+/// mask. The sweep runs every data-parallel pass per
 /// segment on that segment's part of the thread-local slabs (segment s
 /// occupies [base, base + size) of `SweepScratch`), and makes every global
 /// decision once: incumbents, the elimination bound, and the next
@@ -37,7 +39,8 @@ namespace cned {
 ///
 ///   const StringDistance& distance;
 ///   const std::vector<std::size_t>& pivots;  // a flat build may repeat one
-///   const std::int32_t* pivot_rank;  // id -> last ordinal in pivots, or -1
+///   const std::int32_t* pivot_rank;  // id -> last ordinal in pivots, or -1,
+///                                    // over every segment that holds pivots
 ///   std::size_t size;                // candidates: ids [0, size)
 ///   std::size_t segment_count() const;
 ///   SweepSegment segment(std::size_t s) const;  // ascending contiguous bases
@@ -53,26 +56,26 @@ struct SweepSegment {
   std::size_t size = 0;
   const std::uint32_t* lengths = nullptr;  // the segment's string lengths
   QuantTableView table;  // pivot row p covers the segment at p * size
+  /// The segment's slice of the pivot ranks (rank[j] describes candidate
+  /// base + j); null for a segment that holds no pivot (an insert delta).
+  const std::int32_t* rank = nullptr;
+  /// Deleted slots (bit j = candidate base + j); null for none.
+  const std::uint64_t* tombstones = nullptr;
 };
 
 /// The row seed of one segment, shared by the in-process pivot-row sweep
 /// and the serving tier's shard worker (`ShardReplica::BeginRow`): fills
 /// lower[0, seg.size) with the distance's length bounds, tightens it with
 /// every pivot row at row[p] = d(query, pivot p) (the dense streamed-max
-/// kernel, no elimination), forces the slots set in `tombstones` to +inf
-/// (a segment-local bitmap, bit j = candidate seg.base + j; null for none),
+/// kernel, no elimination), forces the segment's tombstoned slots to +inf,
 /// then packs the surviving non-pivots — `!(lower >= bound)` — into
-/// idx/lower [0, live) with `compact_seed`. `pivot_rank` is the full
-/// id-indexed rank array.
+/// idx/lower [0, live) as ids seg.base + j.
 SweepCompactResult SeedSegmentFromRow(const StringDistance& distance,
                                       std::string_view query,
                                       const SweepSegment& seg,
                                       const double* row,
-                                      std::size_t num_pivots,
-                                      const std::int32_t* pivot_rank,
-                                      const std::uint64_t* tombstones,
-                                      double bound, std::uint32_t* idx,
-                                      double* lower);
+                                      std::size_t num_pivots, double bound,
+                                      std::uint32_t* idx, double* lower);
 
 /// The lazy sweep's slack for a (1 + epsilon)-approximate query. Throws
 /// std::invalid_argument "<who>: epsilon must be >= 0" unless epsilon >= 0;
@@ -146,7 +149,7 @@ void FinishSweep(const Layout& layout, std::string_view query, std::size_t k,
 }  // namespace laesa_sweep_internal
 
 /// The lazy sweep behind Nearest (k = 1), NearestApprox (slack = 1 + eps),
-/// KNearest and the tombstone-masked variants: a candidate is eliminated
+/// KNearest and the tombstone-masked queries: a candidate is eliminated
 /// when lower_bound * slack reaches the k-th incumbent.
 ///
 /// Elimination and the incumbent update share one semantic: a candidate
@@ -157,13 +160,17 @@ void FinishSweep(const Layout& layout, std::string_view query, std::size_t k,
 ///
 /// Phases:
 ///   * zeroth pivot — the length bounds of every segment, before any
-///     distance is computed; with a `tombstones` bitmap (over global ids,
-///     null for none) the deleted slots are then forced to +inf and one
-///     flagged pass drops them before anything is visited;
+///     distance is computed; tombstoned slots are then forced to +inf, and
+///     when a segment holding pivots has any, one flagged pass drops them
+///     before anything is visited (a delta's wait for the first pivot
+///     pass, so they never move the base's trajectory);
 ///   * pivot phase — while a pivot survives, evaluate the surviving pivot
 ///     with minimal lower bound (the "approximating" step of LAESA), tighten
 ///     every segment's survivors with its row, eliminate and compact them,
-///     and merge the segments' next-pivot candidates;
+///     and merge the segments' next-pivot candidates. A segment without
+///     pivots is compacted without the slack: the extra survivors fail the
+///     tail's `lower * slack >= kth` test (kth only falls), so the visits
+///     are the same;
 ///   * fixed-bound tail — once no pivot survives, the survivors' bounds are
 ///     fixed and the rest are visited from an in-place (bound, id) heap.
 ///
@@ -173,7 +180,6 @@ template <typename Layout>
 std::vector<NeighborResult> LaesaLazySweep(const Layout& layout,
                                            std::string_view query,
                                            std::size_t k, double slack,
-                                           const std::uint64_t* tombstones,
                                            QueryStats* stats,
                                            QueryStats* shard_stats) {
   const std::size_t n = layout.size;
@@ -188,15 +194,24 @@ std::vector<NeighborResult> LaesaLazySweep(const Layout& layout,
   double* lower = scratch.lower.data();
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
+  // Count live pivots from the ranks, not pivots.size(): a flat build may
+  // repeat a pivot id, which occupies one candidate slot.
+  std::size_t live_pivots = 0;
+  bool masked_pivots = false;
   for (std::size_t s = 0; s < segments; ++s) {
     const SweepSegment seg = layout.segment(s);
     layout.distance.LengthLowerBounds(query.size(), seg.lengths, seg.size,
                                       lower + seg.base);
+    live_pivots += FillIotaCountPivots(idx + seg.base, seg.rank, seg.size,
+                                       static_cast<std::uint32_t>(seg.base));
+    if (seg.tombstones != nullptr) {
+      // lower >= bound is inclusive, so +inf falls even to the infinite
+      // starting incumbent.
+      ApplyTombstoneMask(seg.tombstones, seg.size, lower + seg.base);
+      masked_pivots = masked_pivots || seg.rank != nullptr;
+    }
     scratch.segment_live[s] = seg.size;
   }
-  // Count live pivots from the rank array, not pivots.size(): a flat build
-  // may repeat a pivot id, which occupies one candidate slot.
-  std::size_t live_pivots = FillIotaCountPivots(idx, rank, n);
   std::size_t total_live = n;
 
   std::vector<NeighborResult> best;
@@ -221,8 +236,13 @@ std::vector<NeighborResult> LaesaLazySweep(const Layout& layout,
                 seg.size, d, seg_idx, static_cast<std::uint32_t>(seg.base),
                 seg_lower, seg_live);
           }
-          scratch.segment_pass[s] = kern.eliminate_and_compact_flagged(
-              seg_idx, seg_lower, rank, seg_live, skip, slack, bound);
+          scratch.segment_pass[s] =
+              seg.rank != nullptr
+                  ? kern.eliminate_and_compact_flagged(
+                        seg_idx, seg_lower, rank, seg_live, skip, slack,
+                        bound)
+                  : kern.eliminate_and_compact(seg_idx, seg_lower, seg_live,
+                                               skip, bound);
         });
     total_live = 0;
     std::size_t next = kSweepNone;
@@ -240,14 +260,10 @@ std::vector<NeighborResult> LaesaLazySweep(const Layout& layout,
     return next;
   };
 
-  std::size_t pivot = layout.pivots[0];  // start from the first base prototype
-  if (tombstones != nullptr) {
-    // lower >= bound is inclusive, so +inf falls even to the infinite
-    // starting incumbent. With every pivot masked the sweep goes straight
-    // to the tail.
-    ApplyTombstoneMask(tombstones, n, lower);
-    pivot = pass(-1, 0.0, /*skip=*/0xFFFFFFFFu, kInf);
-  }
+  // Start from the first base prototype. With no pivot (every one masked,
+  // or a mutable index that started empty) the sweep goes to the tail.
+  std::size_t pivot = live_pivots > 0 ? layout.pivots[0] : kSweepNone;
+  if (masked_pivots) pivot = pass(-1, 0.0, /*skip=*/0xFFFFFFFFu, kInf);
   std::uint64_t pivot_evals = 0, abandons = 0;
   while (live_pivots > 0) {
     // Pivot distances stay exact: the full value tightens a whole row of
@@ -321,8 +337,7 @@ std::vector<NeighborResult> LaesaRowSweep(const Layout& layout,
         const SweepSegment seg = layout.segment(s);
         scratch.segment_live[s] =
             SeedSegmentFromRow(layout.distance, query, seg, row,
-                               pivots.size(), layout.pivot_rank,
-                               /*tombstones=*/nullptr, seed_bound,
+                               pivots.size(), seed_bound,
                                scratch.idx.data() + seg.base,
                                scratch.lower.data() + seg.base)
                 .live;

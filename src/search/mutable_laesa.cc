@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
+#include "search/laesa_sweep.h"
 #include "search/sweep_kernel.h"
 
 namespace cned {
@@ -31,10 +31,40 @@ std::shared_ptr<std::vector<std::uint64_t>> CopyOrMakeTombs(
   return tombs;
 }
 
+/// True when `seg` holds `id`, live, at `*slot`.
+template <typename Segment>
+bool LiveSlot(const Segment& seg, std::uint64_t id, std::size_t* slot) {
+  return seg.ids && FindSlot(*seg.ids, id, slot) &&
+         !(seg.tombs && TestTombstone(seg.tombs->data(), *slot));
+}
+
 void ValidateOptions(const MutableLaesa::Options& options) {
-  if (options.num_pivots == 0 || options.delta_pivots == 0) {
+  if (options.num_pivots == 0) {
     throw std::invalid_argument("MutableLaesa: need at least one pivot");
   }
+}
+
+/// The delta's pivot table over `delta` (row-major, one row per base
+/// pivot): the first `known` columns of every row come from `prev` (a
+/// table over the first `known` slots of the same delta), the rest are
+/// computed as d(pivot, slot) — the entries a build of the base would
+/// have stored. Empty without a base.
+std::shared_ptr<const std::vector<double>> DeltaTable(
+    const StringDistance& distance, const Laesa* base,
+    const PrototypeStore& delta, const std::vector<double>* prev,
+    std::size_t known) {
+  const std::size_t np = base != nullptr ? base->num_pivots() : 0;
+  const std::size_t m = delta.size();
+  auto table = std::make_shared<std::vector<double>>(np * m);
+  for (std::size_t p = 0; p < np; ++p) {
+    double* row = table->data() + p * m;
+    if (known > 0) std::copy_n(prev->data() + p * known, known, row);
+    const std::string_view pivot = base->PivotString(p);
+    for (std::size_t j = known; j < m; ++j) {
+      row[j] = distance.Distance(pivot, delta.view(j));
+    }
+  }
+  return table;
 }
 
 }  // namespace
@@ -97,25 +127,12 @@ std::string MutableLaesa::SnapshotIndexPath(const std::string& dir) {
   return dir + "/mutable.index.bin";
 }
 
-std::shared_ptr<const Laesa> MutableLaesa::BuildDeltaIndex(
-    const Segment& delta) const {
-  // The index is a pure function of the delta's *contents* (tombstones are
-  // query-time masks), so two instances replaying the same op sequence
-  // build bit-identical indexes — the stats-determinism contract.
-  if (delta.count() < options_.delta_index_threshold || delta.count() == 0) {
-    return nullptr;
-  }
-  const std::size_t np = std::min(options_.delta_pivots, delta.count());
-  std::vector<std::size_t> pivots(np);
-  for (std::size_t p = 0; p < np; ++p) pivots[p] = p;
-  return std::make_shared<const Laesa>(PrototypeStoreRef(*delta.store),
-                                       distance_, std::move(pivots),
-                                       options_.table_precision);
-}
-
 std::uint64_t MutableLaesa::Insert(std::string_view s) {
   std::lock_guard<std::mutex> lk(write_mu_);
   const auto cur = Pin();
+  // The new slot is sweep id base + delta: check before anything changes.
+  CheckSweepPrototypeCount(cur->base.count() + cur->delta.count() + 1,
+                           "MutableLaesa::Insert");
   auto next = std::make_shared<State>(*cur);
   // Copy-on-write append: readers pinned on the old state keep its arena.
   auto store = cur->delta.store
@@ -128,13 +145,15 @@ std::uint64_t MutableLaesa::Insert(std::string_view s) {
                  : std::make_shared<std::vector<std::uint64_t>>();
   const std::uint64_t id = cur->next_id;
   ids->push_back(id);
+  next->delta_table =
+      DeltaTable(*distance_, cur->base_index.get(), *store,
+                 cur->delta_table.get(), cur->delta.count());
   next->delta.store = std::move(store);
   next->delta.ids = std::move(ids);
   if (cur->delta.tombs) {
     next->delta.tombs =
         CopyOrMakeTombs(cur->delta.tombs, next->delta.count());
   }
-  next->delta_index = BuildDeltaIndex(next->delta);
   next->next_id = id + 1;
   next->epoch = cur->epoch + 1;
   Publish(std::move(next));
@@ -144,27 +163,15 @@ std::uint64_t MutableLaesa::Insert(std::string_view s) {
 bool MutableLaesa::Remove(std::uint64_t id) {
   std::lock_guard<std::mutex> lk(write_mu_);
   const auto cur = Pin();
-  auto next = std::make_shared<State>(*cur);
   std::size_t slot = 0;
-  if (cur->base.ids && FindSlot(*cur->base.ids, id, &slot)) {
-    if (cur->base.tombs && TestTombstone(cur->base.tombs->data(), slot)) {
-      return false;
-    }
-    auto tombs = CopyOrMakeTombs(cur->base.tombs, cur->base.count());
-    SetTombstone(tombs->data(), slot);
-    next->base.tombs = std::move(tombs);
-    next->base.dead = cur->base.dead + 1;
-  } else if (cur->delta.ids && FindSlot(*cur->delta.ids, id, &slot)) {
-    if (cur->delta.tombs && TestTombstone(cur->delta.tombs->data(), slot)) {
-      return false;
-    }
-    auto tombs = CopyOrMakeTombs(cur->delta.tombs, cur->delta.count());
-    SetTombstone(tombs->data(), slot);
-    next->delta.tombs = std::move(tombs);
-    next->delta.dead = cur->delta.dead + 1;
-  } else {
-    return false;
-  }
+  const bool in_base = LiveSlot(cur->base, id, &slot);
+  if (!in_base && !LiveSlot(cur->delta, id, &slot)) return false;
+  auto next = std::make_shared<State>(*cur);
+  Segment& seg = in_base ? next->base : next->delta;
+  auto tombs = CopyOrMakeTombs(seg.tombs, seg.count());
+  SetTombstone(tombs->data(), slot);
+  seg.tombs = std::move(tombs);
+  ++seg.dead;
   next->epoch = cur->epoch + 1;
   Publish(std::move(next));
   return true;
@@ -173,28 +180,17 @@ bool MutableLaesa::Remove(std::uint64_t id) {
 bool MutableLaesa::Contains(std::uint64_t id) const {
   const auto st = Pin();
   std::size_t slot = 0;
-  if (st->base.ids && FindSlot(*st->base.ids, id, &slot)) {
-    return !(st->base.tombs && TestTombstone(st->base.tombs->data(), slot));
-  }
-  if (st->delta.ids && FindSlot(*st->delta.ids, id, &slot)) {
-    return !(st->delta.tombs &&
-             TestTombstone(st->delta.tombs->data(), slot));
-  }
-  return false;
+  return LiveSlot(st->base, id, &slot) || LiveSlot(st->delta, id, &slot);
 }
 
 std::string MutableLaesa::GetString(std::uint64_t id) const {
   const auto st = Pin();
   std::size_t slot = 0;
-  if (st->base.ids && FindSlot(*st->base.ids, id, &slot)) {
-    if (!(st->base.tombs && TestTombstone(st->base.tombs->data(), slot))) {
-      return std::string(st->base.store->view(slot));
-    }
-  } else if (st->delta.ids && FindSlot(*st->delta.ids, id, &slot)) {
-    if (!(st->delta.tombs &&
-          TestTombstone(st->delta.tombs->data(), slot))) {
-      return std::string(st->delta.store->view(slot));
-    }
+  if (LiveSlot(st->base, id, &slot)) {
+    return std::string(st->base.store->view(slot));
+  }
+  if (LiveSlot(st->delta, id, &slot)) {
+    return std::string(st->delta.store->view(slot));
   }
   throw std::out_of_range("MutableLaesa::GetString: unknown or removed id");
 }
@@ -215,60 +211,57 @@ std::size_t MutableLaesa::tombstone_count() const {
   return st->base.dead + st->delta.dead;
 }
 
+// The pinned state as the shared sweep sees it (search/laesa_sweep.h): the
+// base segment (its pivots, ranks and table), then the delta segment at
+// sweep ids base.count() + j, which holds no pivot.
+struct MutableLaesa::SweepLayout {
+  const StringDistance& distance;
+  const std::vector<std::size_t>& pivots;
+  const std::int32_t* pivot_rank;
+  std::size_t size;
+  SweepSegment base, delta;
+  const State& st;
+
+  std::size_t segment_count() const { return 2; }
+  SweepSegment segment(std::size_t s) const { return s == 0 ? base : delta; }
+  std::size_t segment_of(std::size_t id) const {
+    return id < delta.base ? 0 : 1;
+  }
+  std::string_view view(std::size_t id) const {
+    return id < delta.base ? st.base.store->view(id)
+                           : st.delta.store->view(id - delta.base);
+  }
+};
+
 std::vector<NeighborResult> MutableLaesa::KNearest(std::string_view query,
                                                    std::size_t k,
                                                    QueryStats* stats) const {
   const auto st = Pin();  // the whole query runs against this epoch
-  std::vector<NeighborResult> best;
-  if (k == 0) return best;
-  QueryStats qs;
-
-  // Base segment: the masked LAESA sweep, slot results mapped to stable
-  // ids. Slots are in ascending-id order, so the sweep's (distance, slot)
-  // tie-break IS the (distance, id) tie-break.
-  if (st->base_index && st->base.live() > 0) {
-    const auto r =
-        st->base_index->KNearestMasked(query, k, st->base.tomb_bits(), &qs);
-    const auto& ids = *st->base.ids;
-    best.reserve(r.size());
-    for (const auto& nr : r) {
-      best.push_back({static_cast<std::size_t>(ids[nr.index]), nr.distance});
-    }
+  static const std::vector<std::size_t> kNoPivots;
+  SweepSegment base, delta;
+  delta.base = st->base.count();
+  delta.size = st->delta.count();
+  if (st->base_index) {
+    base = st->base_index->sweep_segment();
+    base.tombstones = st->base.tomb_bits();
   }
-
-  // Delta segment, merged with the strict-improvement gate: every delta id
-  // is larger than every base id, so a delta candidate that only ties the
-  // k-th incumbent must lose — exactly what the gate enforces.
-  if (st->delta.live() > 0) {
-    const auto& ids = *st->delta.ids;
-    if (st->delta_index) {
-      const auto r = st->delta_index->KNearestMasked(
-          query, k, st->delta.tomb_bits(), &qs);
-      for (const auto& nr : r) {
-        InsertNeighborTopK(
-            best, k, {static_cast<std::size_t>(ids[nr.index]), nr.distance});
-      }
-    } else {
-      // Exhaustive ascending-slot scan, each evaluation bounded by the
-      // merged incumbent (same ">= abandons" semantics as the sweeps).
-      const PrototypeStore& store = *st->delta.store;
-      const std::uint64_t* tombs = st->delta.tomb_bits();
-      const double inf = std::numeric_limits<double>::infinity();
-      for (std::size_t j = 0; j < store.size(); ++j) {
-        if (tombs != nullptr && TestTombstone(tombs, j)) continue;
-        const double cap = best.size() < k ? inf : best.back().distance;
-        const double d = distance_->DistanceBounded(query, store.view(j), cap);
-        ++qs.distance_computations;
-        if (d >= cap) {
-          ++qs.bounded_abandons;
-        } else {
-          InsertNeighborTopK(best, k, {static_cast<std::size_t>(ids[j]), d});
-        }
-      }
-    }
+  if (delta.size > 0) {
+    delta.lengths = st->delta.store->lengths_data();
+    delta.table.f64 = st->delta_table->data();
+    delta.tombstones = st->delta.tomb_bits();
   }
-
-  if (stats != nullptr) *stats += qs;
+  const SweepLayout layout{
+      *distance_, st->base_index ? st->base_index->pivots() : kNoPivots,
+      base.rank,  delta.base + delta.size,
+      base,       delta,
+      *st};
+  auto best = LaesaLazySweep(layout, query, k, /*slack=*/1.0, stats, nullptr);
+  // Sweep ids to stable ids: both orders agree, so `best` stays sorted.
+  for (NeighborResult& nr : best) {
+    nr.index = static_cast<std::size_t>(
+        nr.index < delta.base ? (*st->base.ids)[nr.index]
+                              : (*st->delta.ids)[nr.index - delta.base]);
+  }
   return best;
 }
 
@@ -447,7 +440,10 @@ void MutableLaesa::MergeBody(std::shared_ptr<const State> pinned,
     next->delta.ids = std::move(dids);
     next->delta.tombs = std::move(dtombs);
     next->delta.dead = ddead;
-    next->delta_index = BuildDeltaIndex(next->delta);
+    // The columns belong to the old base's pivots: recompute them against
+    // the new base's.
+    next->delta_table = DeltaTable(*distance_, merged_index.get(),
+                                   *next->delta.store, nullptr, 0);
   }
   next->next_id = cur->next_id;
   next->epoch = cur->epoch + 1;

@@ -22,29 +22,32 @@ namespace cned {
 /// in flight (the add/search + view() serving model of usearch, see
 /// ROADMAP.md).
 ///
-/// Structure — two segments behind one epoch-numbered immutable `State`:
+/// Structure — two segments behind one epoch-numbered immutable `State`,
+/// swept as one two-segment layout of the shared LAESA sweep
+/// (search/laesa_sweep.h):
 ///
 ///   * **base**: a frozen `PrototypeStore` + `Laesa` (owned or mapped from
 ///     a snapshot). Never rewritten in place; deletes set a bit in a
-///     tombstone bitmap that the sweep masks *inside* its compaction
-///     (`Laesa::KNearestMasked`), so a deleted prototype can never surface
-///     as a neighbour at any `table_precision`.
+///     tombstone bitmap that the sweep masks *inside* its compaction, so a
+///     deleted prototype can never surface as a neighbour at any
+///     `table_precision`.
 ///   * **delta**: an appendable `PrototypeStore` holding everything
-///     inserted since the last merge, with its own tombstone bitmap.
-///     Queried exhaustively (bounded by the merged incumbent) below
-///     `Options::delta_index_threshold` entries, through a small LAESA of
-///     its own above it.
+///     inserted since the last merge, with its own tombstone bitmap and
+///     its own f64 pivot table — one column per base pivot, paid for by
+///     `Insert` (num_pivots distance evaluations). The delta holds no
+///     pivot; the base pivot rows the sweep visits tighten its candidates
+///     exactly as they tighten the base's, so an insert far from every
+///     query is eliminated without being evaluated.
 ///
 /// Every prototype carries a stable 64-bit id, assigned monotonically by
 /// `Insert` and never reused; results report ids, not slots. Base slots
-/// are kept in ascending-id order and the delta always holds the newest
-/// ids, so all base ids < all delta ids — which lets the
-/// strict-improvement top-k merge resolve cross-segment distance ties
-/// toward the base (older-id) side. Distances are always exact; as
-/// everywhere in the LAESA family, equal-distance tie *winners* within a
-/// segment follow the sweep's visiting order (an admissible pruner may
-/// eliminate an equal-distance candidate by its lower bound without ever
-/// evaluating it).
+/// are kept in ascending-id order, the delta always holds the newest ids,
+/// and the sweep numbers the delta after the base — so sweep-id order is
+/// stable-id order, and the sweep's (distance, id) tie rule is the
+/// stable-id one. Distances are always exact; as everywhere in the LAESA
+/// family, equal-distance tie *winners* follow the sweep's visiting order
+/// (an admissible pruner may eliminate an equal-distance candidate by its
+/// lower bound without ever evaluating it).
 ///
 /// Concurrency — single-writer, lock-free readers: mutators serialize on an
 /// internal mutex, build a fresh `State` (copy-on-write of only the parts
@@ -59,9 +62,10 @@ namespace cned {
 /// base+delta (minus tombstones) into a fresh base on a background thread,
 /// then swaps it in: entries removed *during* the merge become tombstones
 /// on the new base, entries inserted during it stay in the (re-packed)
-/// delta. With a snapshot directory the merge output goes through
-/// temp-file + rename, so a crash mid-merge leaves the previous snapshot
-/// fully valid — the only residue is a stale `*.tmp` pair.
+/// delta, their columns recomputed against the new base's pivots. With a
+/// snapshot directory the merge output goes through temp-file + rename, so
+/// a crash mid-merge leaves the previous snapshot fully valid — the only
+/// residue is a stale `*.tmp` pair.
 ///
 /// Differential contract: at every point, Nearest/KNearest return exactly
 /// the distance profile a from-scratch rebuild over the live set would
@@ -76,17 +80,11 @@ class MutableLaesa final : public NearestNeighborSearcher {
     // usable in this class's own default arguments (GCC defers NSDMIs of a
     // nested class past the enclosing class's end).
     Options()
-        : num_pivots(8),
-          delta_pivots(4),
-          delta_index_threshold(128),
-          table_precision(DefaultTablePrecision()) {}
+        : num_pivots(8), table_precision(DefaultTablePrecision()) {}
     /// Pivots for the base index (built by the ctor and by every merge).
     std::size_t num_pivots;
-    /// Pivots for the delta's own LAESA once it crosses the threshold.
-    std::size_t delta_pivots;
-    /// Delta size at which the exhaustive scan gives way to a delta LAESA.
-    std::size_t delta_index_threshold;
-    /// Pivot-table storage precision for base and delta indexes.
+    /// Pivot-table storage precision of the base index (the delta's
+    /// columns are always f64).
     TablePrecision table_precision;
   };
 
@@ -109,9 +107,11 @@ class MutableLaesa final : public NearestNeighborSearcher {
   MutableLaesa(const MutableLaesa&) = delete;
   MutableLaesa& operator=(const MutableLaesa&) = delete;
 
-  /// Appends one prototype; returns its stable id. O(delta) copy-on-write —
-  /// the background merge is what keeps the delta (and thus this cost)
-  /// bounded.
+  /// Appends one prototype; returns its stable id. Costs one distance
+  /// evaluation per base pivot (its pivot-table column) plus an
+  /// O(num_pivots x delta) copy-on-write — the background merge is what
+  /// keeps the delta (and thus this cost) bounded. Throws std::length_error
+  /// (changing nothing) when base + delta would pass kMaxSweepPrototypes.
   std::uint64_t Insert(std::string_view s);
 
   /// Tombstones `id`. Returns false when the id is unknown or already
@@ -140,8 +140,8 @@ class MutableLaesa final : public NearestNeighborSearcher {
   NeighborResult Nearest(std::string_view query,
                          QueryStats* stats = nullptr) const override;
 
-  /// The k nearest live prototypes, closest first; exact distances, with
-  /// cross-segment distance ties resolving to the base (lower-id) segment.
+  /// The k nearest live prototypes, closest first; exact distances, tie
+  /// winners in the sweep's (bound, id) visiting order.
   std::vector<NeighborResult> KNearest(
       std::string_view query, std::size_t k,
       QueryStats* stats = nullptr) const override;
@@ -201,10 +201,15 @@ class MutableLaesa final : public NearestNeighborSearcher {
     Segment base;
     std::shared_ptr<const Laesa> base_index;  // null iff base empty
     Segment delta;
-    std::shared_ptr<const Laesa> delta_index;  // null below the threshold
+    /// Row-major num_pivots x delta.count(): row p holds d(base pivot p,
+    /// delta slot j) at p * delta.count() + j. Empty without a base.
+    std::shared_ptr<const std::vector<double>> delta_table;
     std::uint64_t next_id = 0;
     std::uint64_t epoch = 0;
   };
+
+  /// The pinned state as a two-segment layout of the shared sweep.
+  struct SweepLayout;
 
   std::shared_ptr<const State> Pin() const {
     return std::atomic_load(&state_);
@@ -214,7 +219,6 @@ class MutableLaesa final : public NearestNeighborSearcher {
                       std::shared_ptr<const State>(std::move(next)));
   }
 
-  std::shared_ptr<const Laesa> BuildDeltaIndex(const Segment& delta) const;
   void MergeBody(std::shared_ptr<const State> pinned, std::string dir);
 
   StringDistancePtr distance_;

@@ -107,7 +107,8 @@ struct ShardedLaesa::SweepLayout {
   std::size_t segment_count() const { return store.shard_count(); }
   SweepSegment segment(std::size_t s) const {
     return {store.shard_base(s), store.shard(s).size(),
-            store.shard(s).lengths_data(), index.shard_view(s)};
+            store.shard(s).lengths_data(), index.shard_view(s),
+            pivot_rank + store.shard_base(s)};
   }
   std::size_t segment_of(std::size_t id) const { return store.ShardOf(id); }
   std::string_view view(std::size_t id) const { return store.view(id); }
@@ -136,7 +137,7 @@ NeighborResult ShardedLaesa::Nearest(std::string_view query,
 
 NeighborResult ShardedLaesa::Nearest(std::string_view query, QueryStats* stats,
                                      QueryStats* shard_stats) const {
-  return LaesaLazySweep(layout(), query, 1, /*slack=*/1.0, nullptr, stats,
+  return LaesaLazySweep(layout(), query, 1, /*slack=*/1.0, stats,
                         shard_stats)
       .front();
 }
@@ -146,21 +147,21 @@ NeighborResult ShardedLaesa::NearestApprox(std::string_view query,
                                            QueryStats* stats) const {
   const double slack =
       ApproximationSlack(epsilon, "ShardedLaesa::NearestApprox");
-  return LaesaLazySweep(layout(), query, 1, slack, nullptr, stats, nullptr)
+  return LaesaLazySweep(layout(), query, 1, slack, stats, nullptr)
       .front();
 }
 
 std::vector<NeighborResult> ShardedLaesa::KNearest(std::string_view query,
                                                    std::size_t k,
                                                    QueryStats* stats) const {
-  return LaesaLazySweep(layout(), query, k, /*slack=*/1.0, nullptr, stats,
+  return LaesaLazySweep(layout(), query, k, /*slack=*/1.0, stats,
                         nullptr);
 }
 
 std::vector<NeighborResult> ShardedLaesa::KNearest(
     std::string_view query, std::size_t k, QueryStats* stats,
     QueryStats* shard_stats) const {
-  return LaesaLazySweep(layout(), query, k, /*slack=*/1.0, nullptr, stats,
+  return LaesaLazySweep(layout(), query, k, /*slack=*/1.0, stats,
                         shard_stats);
 }
 

@@ -304,10 +304,16 @@ void CheckSweepPrototypeCount(std::size_t n, const char* who) {
 
 std::size_t FillIotaCountPivots(std::uint32_t* idx,
                                 const std::int32_t* pivot_rank,
-                                std::size_t n) {
+                                std::size_t n, std::uint32_t first) {
   std::size_t pivots = 0;
+  if (pivot_rank == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      idx[i] = first + static_cast<std::uint32_t>(i);
+    }
+    return pivots;
+  }
   for (std::size_t i = 0; i < n; ++i) {
-    idx[i] = static_cast<std::uint32_t>(i);
+    idx[i] = first + static_cast<std::uint32_t>(i);
     pivots += pivot_rank[i] >= 0 ? 1 : 0;
   }
   return pivots;

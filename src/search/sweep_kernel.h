@@ -16,9 +16,10 @@ namespace cned {
 ///
 /// Every LAESA-shaped sweep in the library runs on these kernels:
 ///   * the one in-process sweep (search/laesa_sweep.h, lazy and pivot-row
-///     entry points) behind `Laesa` and `ShardedLaesa` — and through them
-///     `MutableLaesa` and the batch engine's pivot-stage pipeline — over
-///     one segment per shard (a flat index is one segment);
+///     entry points) behind `Laesa`, `ShardedLaesa` and `MutableLaesa` —
+///     and through them the batch engine's pivot-stage pipeline — over
+///     one segment per shard (a flat index is one segment, a mutable
+///     index its base and its insert delta);
 ///   * its row seed stage, `SeedSegmentFromRow`, also run by the serving
 ///     tier's shard worker (`ShardReplica::BeginRow`), whose visit steps
 ///     (`ShardReplica::StepRow`) the router's `RowSweep` drives;
@@ -242,13 +243,15 @@ struct SweepScratch {
 };
 SweepScratch& TlsSweepScratch();
 
-/// Shared candidate-slab initialisation: idx[i] = i for i in [0, n), and
-/// returns the number of ids with pivot_rank[id] >= 0 — the live-pivot
-/// count the lazy sweep starts from (duplicate pivots_ entries occupy one
-/// candidate slot, hence counting ranks, not table rows).
+/// Shared candidate-slab initialisation: idx[i] = first + i for i in
+/// [0, n), and returns the number of slots with pivot_rank[i] >= 0 — the
+/// live-pivot count the lazy sweep starts from (duplicate pivots_ entries
+/// occupy one candidate slot, hence counting ranks, not table rows).
+/// `pivot_rank` is aligned with idx (rank[i] describes candidate
+/// first + i); null means the slice holds no pivot.
 std::size_t FillIotaCountPivots(std::uint32_t* idx,
                                 const std::int32_t* pivot_rank,
-                                std::size_t n);
+                                std::size_t n, std::uint32_t first = 0);
 
 /// --- The fixed-bound tail. ------------------------------------------------
 ///

@@ -70,11 +70,12 @@ struct ServeEngineOptions {
 /// `KNearestWithPivotRow`, regardless of how claims formed or rows were
 /// deduplicated.
 ///
-/// Degraded worlds: when the router's fast gate fails (a dead replica, a
-/// tombstone, delta entries), the driver hands queries straight back and
-/// each caller reruns its own robustly on its own thread, reusing the
-/// already-computed pivot row — robust queries keep their pre-existing
-/// concurrency instead of serializing through the driver.
+/// Degraded worlds: when the router's fast gate fails (a dead replica —
+/// inserts and removes do not trip it), `DriveSweeps` hands queries
+/// straight back and each caller reruns its own robustly on its own
+/// thread, reusing the already-computed pivot row — robust queries keep
+/// their pre-existing concurrency instead of serializing through the
+/// driver.
 ///
 /// Overload: a query is shed — returned immediately with
 /// `ServeResult::shed` set and nothing else — when the admission queue is

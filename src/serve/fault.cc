@@ -76,9 +76,10 @@ FaultSpec FaultSpec::Parse(const std::string& text) {
           d.replica = static_cast<std::int64_t>(ParseU64(val, key));
         } else if (key == "op") {
           if (val != "ping" && val != "begin" && val != "eval" &&
-              val != "step") {
-            throw std::invalid_argument("CNED_FAULT: unknown op '" + val +
-                                        "' (want ping|begin|eval|step)");
+              val != "step" && val != "insert" && val != "remove") {
+            throw std::invalid_argument(
+                "CNED_FAULT: unknown op '" + val +
+                "' (want ping|begin|eval|step|insert|remove)");
           }
           d.op = val;
         } else if (key == "nth") {

@@ -29,9 +29,8 @@ namespace cned {
 ///              *every* member of a replica group, since state-machine
 ///              replication feeds all members the same request sequence)
 ///   op=NAME    only fire on requests of this class: ping, begin
-///              (kBeginRow), eval, step (kStepRow), insert, remove, scan
-///              (kDeltaScan) (default: any request; kEndSweep is never
-///              counted)
+///              (kBeginRow), eval, step (kStepRow), insert, remove
+///              (default: any request; kEndSweep is never counted)
 ///   nth=K      fire exactly once, on the K-th matching request (1-based)
 ///   every=K    fire on every K-th matching request
 ///   ms=T       delay duration (delay only; default 0)

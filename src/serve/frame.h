@@ -26,7 +26,7 @@ namespace cned {
 /// The query id multiplexes a connection between concurrent sweeps: every
 /// in-flight query owns a router-assigned nonzero id, workers key their
 /// per-sweep slab state on it, and replies echo it alongside the sequence
-/// number. Id 0 is the control plane (ping, shutdown, mutations, scans —
+/// number. Id 0 is the control plane (ping, shutdown, mutations —
 /// anything that is not per-sweep state). A reply whose sequence or query
 /// id matches no waiting exchange is discarded exactly like a stale
 /// sequence number from a timed-out attempt.
@@ -59,9 +59,10 @@ inline constexpr std::uint32_t kMaxFramePayload = 1u << 30;
 /// router has already merged the sweep, so a reply would only add a
 /// round trip with nothing to gate on.
 ///
-/// Values 2 and 5 are retired (they carried a second, lazy sweep protocol)
-/// and are never reassigned: they still pass the frame layer, and a worker
-/// answers them with kError like any request it does not serve.
+/// Values 2 and 5 (a second, lazy sweep protocol) and 12 (a separate scan
+/// of the insert delta, which the row sweep now covers) are retired and
+/// never reassigned: they still pass the frame layer, and a worker answers
+/// them with kError like any request it does not serve.
 enum class FrameType : std::uint32_t {
   kPing = 1,       ///< health check; reply: u64 shard id, u64 replica id
   kBeginRow = 3,   ///< start a row sweep: str query, f64 seed_bound, u64 np,
@@ -76,11 +77,9 @@ enum class FrameType : std::uint32_t {
   // steps; replies are dedup-stable (re-delivery after a lost reply gives
   // the same bytes), so the ops are retryable and byte-agreement across
   // the group keeps working.
-  kInsert = 10,     ///< append to the shard delta: u64 id, str s -> u64 count
+  kInsert = 10,     ///< append to the shard delta: u64 id, str s, u64 np,
+                    ///< np x f64 column d(pivot p, s) -> u64 count
   kRemove = 11,     ///< tombstone an id: u64 id -> u64 total dead
-  kDeltaScan = 12,  ///< bounded live-delta scan: str query, f64 cap, u64 k
-                    ///< -> u64 hits, hits x (u64 id, f64 d), u64 comps,
-                    ///< u64 abandons
   kEndSweep = 13,   ///< retire the sweep slot for this frame's query id;
                     ///< empty payload, NO reply (fire-and-forget), and
                     ///< exempt from fault injection (it is router-side

@@ -1,7 +1,7 @@
 #include "serve/replica.h"
 
 #include <algorithm>
-#include <limits>
+#include <string>
 #include <stdexcept>
 
 #include "common/binary_io.h"
@@ -103,8 +103,8 @@ ShardReplica::SweepSlot& ShardReplica::NewSlot(std::uint32_t qid) {
     it = sweeps_.emplace(qid, std::make_unique<SweepSlot>()).first;
   }
   SweepSlot& slot = *it->second;
-  slot.idx.resize(store_.size());
-  slot.lower.resize(store_.size());
+  slot.idx.resize(store_.size() + delta_store_.size());
+  slot.lower.resize(store_.size() + delta_store_.size());
   return slot;
 }
 
@@ -128,13 +128,40 @@ const ShardReplica::SweepSlot& ShardReplica::SlotOf(std::uint32_t qid) const {
 
 void ShardReplica::EndSweep(std::uint32_t qid) { sweeps_.erase(qid); }
 
-bool ShardReplica::Insert(std::uint64_t id, std::string_view s) {
-  // Per-shard ids are assigned (and replayed) in ascending order, so a
-  // duplicate delivery — a retry after a lost reply — is exactly an id that
-  // is not past the current tail.
-  if (!delta_ids_.empty() && id <= delta_ids_.back()) return false;
+bool ShardReplica::DeltaSlot(std::uint64_t id, std::size_t* j) const {
+  if (id < n_total_ || (id - n_total_) % shard_count_ != shard_id_) {
+    return false;
+  }
+  *j = static_cast<std::size_t>((id - n_total_) / shard_count_);
+  return true;
+}
+
+bool ShardReplica::Insert(std::uint64_t id, std::string_view s,
+                          const double* column, std::size_t column_size) {
+  if (column_size != pivots_.size()) {
+    throw std::invalid_argument(
+        "ShardReplica::Insert: column has " + std::to_string(column_size) +
+        " entries, want " + std::to_string(pivots_.size()));
+  }
+  CheckSweepPrototypeCount(id + 1, "ShardReplica::Insert");
+  // Per-shard ids arrive (and are replayed) in slot order, so a duplicate
+  // delivery — a retry after a lost reply — is exactly an earlier slot.
+  const std::size_t m = delta_store_.size();
+  std::size_t j = 0;
+  if (!DeltaSlot(id, &j) || j > m) {
+    throw std::invalid_argument("ShardReplica::Insert: id " +
+                                std::to_string(id) +
+                                " is not this shard's next insert id");
+  }
+  if (j < m) return false;
+  const std::size_t np = pivots_.size();
+  std::vector<double> table(np * (m + 1));
+  for (std::size_t p = 0; p < np; ++p) {
+    std::copy_n(delta_table_.data() + p * m, m, table.data() + p * (m + 1));
+    table[p * (m + 1) + m] = column[p];
+  }
+  delta_table_.swap(table);
   delta_store_.Add(s);
-  delta_ids_.push_back(id);
   if (!delta_tombs_.empty()) {
     delta_tombs_.resize(TombstoneWords(delta_store_.size()), 0);
   }
@@ -150,9 +177,8 @@ bool ShardReplica::Remove(std::uint64_t id) {
     ++base_dead_;
     return true;
   }
-  const auto it = std::lower_bound(delta_ids_.begin(), delta_ids_.end(), id);
-  if (it == delta_ids_.end() || *it != id) return false;
-  const std::size_t j = static_cast<std::size_t>(it - delta_ids_.begin());
+  std::size_t j = 0;
+  if (!DeltaSlot(id, &j) || j >= delta_store_.size()) return false;
   if (delta_tombs_.empty()) {
     delta_tombs_.assign(TombstoneWords(delta_store_.size()), 0);
   }
@@ -162,61 +188,65 @@ bool ShardReplica::Remove(std::uint64_t id) {
   return true;
 }
 
-void ShardReplica::DeltaScan(std::string_view query, double cap0,
-                             std::size_t k, std::vector<NeighborResult>* hits,
-                             std::uint64_t* computations,
-                             std::uint64_t* abandons) const {
-  hits->clear();
-  *computations = 0;
-  *abandons = 0;
-  if (k == 0) return;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (std::size_t j = 0; j < delta_store_.size(); ++j) {
-    if (!delta_tombs_.empty() && TestTombstone(delta_tombs_.data(), j)) {
-      continue;
-    }
-    const double local =
-        hits->size() < k ? kInf : hits->back().distance;
-    const double cap = cap0 < local ? cap0 : local;
-    const double d = distance_->DistanceBounded(query, delta_store_.view(j),
-                                                cap);
-    ++*computations;
-    if (d >= cap) {
-      ++*abandons;
-      continue;
-    }
-    InsertNeighborTopK(*hits, k,
-                       {static_cast<std::size_t>(delta_ids_[j]), d});
-  }
-}
-
 SweepCompactResult ShardReplica::BeginRow(std::uint32_t qid,
                                           std::string_view query,
                                           const double* row,
                                           double seed_bound) {
   SweepSlot& slot = NewSlot(qid);
   slot.query.assign(query);
-  // Tombstoned base slots go to +inf before the seed compaction, so the
-  // row path can never admit a deleted prototype either — no protocol
-  // change needed: the mask rides the shard's own state.
-  const SweepSegment seg{base_, store_.size(), store_.lengths_data(),
-                         table_view()};
-  const SweepCompactResult out = SeedSegmentFromRow(
-      *distance_, slot.query, seg, row, pivots_.size(), pivot_rank_.data(),
-      base_dead_ > 0 ? tombs_.data() : nullptr, seed_bound, slot.idx.data(),
-      slot.lower.data());
+  // Tombstoned slots go to +inf before the seed compaction, so the row
+  // path can never admit a deleted prototype — no protocol change needed:
+  // the masks ride the shard's own state.
+  SweepSegment seg{base_, store_.size(), store_.lengths_data(), table_view(),
+                   pivot_rank_.data() + base_,
+                   base_dead_ > 0 ? tombs_.data() : nullptr};
+  SweepCompactResult out =
+      SeedSegmentFromRow(*distance_, slot.query, seg, row, pivots_.size(),
+                         seed_bound, slot.idx.data(), slot.lower.data());
+  const std::size_t m = delta_store_.size();
+  if (m > 0) {
+    // The delta packs behind the base survivors under local ids j, then
+    // takes its global ids: DeltaId ascends above every base id, so the
+    // slab stays ascending and the merged minimum keeps the lowest-id rule.
+    seg = SweepSegment{0,
+                       m,
+                       delta_store_.lengths_data(),
+                       {TablePrecision::kF64, delta_table_.data()},
+                       nullptr,
+                       delta_dead_ > 0 ? delta_tombs_.data() : nullptr};
+    std::uint32_t* idx = slot.idx.data() + out.live;
+    const SweepCompactResult d =
+        SeedSegmentFromRow(*distance_, slot.query, seg, row, pivots_.size(),
+                           seed_bound, idx, slot.lower.data() + out.live);
+    for (std::size_t r = 0; r < d.live; ++r) {
+      idx[r] = static_cast<std::uint32_t>(DeltaId(idx[r]));
+    }
+    if (d.next != kSweepNone && d.next_key < out.next_key) {
+      out.next = DeltaId(d.next);
+      out.next_key = d.next_key;
+    }
+    out.live += d.live;
+  }
   slot.live = out.live;
   return out;
 }
 
+std::string_view ShardReplica::ViewOf(std::size_t global_id) const {
+  if (global_id >= base_ && global_id - base_ < store_.size()) {
+    return store_.view(global_id - base_);
+  }
+  std::size_t j = 0;
+  if (DeltaSlot(global_id, &j) && j < delta_store_.size()) {
+    return delta_store_.view(j);
+  }
+  throw std::out_of_range("ShardReplica::Eval: id outside this shard");
+}
+
 double ShardReplica::Eval(std::uint32_t qid, std::size_t global_id,
                           double cap) const {
-  if (global_id < base_ || global_id - base_ >= store_.size()) {
-    throw std::out_of_range("ShardReplica::Eval: id outside this shard");
-  }
+  const std::string_view target = ViewOf(global_id);
   const SweepSlot& slot = SlotOf(qid);
-  return distance_->DistanceBounded(slot.query, store_.view(global_id - base_),
-                                    cap);
+  return distance_->DistanceBounded(slot.query, target, cap);
 }
 
 SweepCompactResult ShardReplica::StepRow(std::uint32_t qid, std::uint32_t skip,

@@ -33,6 +33,11 @@ namespace cned {
 /// `ComputePivotRow` + `KNearestWithPivotRow`. The lazy sweep runs only in
 /// process.
 ///
+/// Inserts are a second segment of the same sweep: each arrives with its
+/// pivot-table column and becomes a slot of an f64 delta segment, which
+/// `BeginRow` seeds behind the base. Slot j of shard s is global id
+/// n + s + S·j, above every base id, so `StepRow` needs no change.
+///
 /// Multiplexing: sweep state lives in per-query slots keyed by the frame
 /// layer's query id, so one replica serves any number of interleaved
 /// sweeps over a single connection. Each slot is an independent copy of
@@ -57,17 +62,7 @@ class ShardReplica {
                const std::string& distance_name);
 
   std::size_t shard_id() const { return shard_id_; }
-  std::size_t base() const { return base_; }
-  std::size_t size() const { return store_.size(); }
-  std::size_t total_size() const { return n_total_; }
   std::size_t num_pivots() const { return pivots_.size(); }
-
-  /// Storage precision of the mapped table slice (shard_snapshot.h v2
-  /// carries quantized tables; v1 is always f64).
-  TablePrecision table_precision() const { return precision_; }
-
-  /// Active sweep slots (monitoring; the overflow guard's input).
-  std::size_t sweep_count() const { return sweeps_.size(); }
 
   /// Hard cap on concurrent sweep slots per replica: a BeginRow past it
   /// throws (the worker answers kError) instead of letting a router that
@@ -81,41 +76,34 @@ class ShardReplica {
   /// --- Live mutability (mutable tier ops, replicated by the router). ----
 
   /// Appends one prototype to this shard's delta under its router-assigned
-  /// global id. Idempotent: per-shard ids arrive ascending, so a re-sent id
-  /// is recognised and ignored. Returns true when newly applied.
-  bool Insert(std::uint64_t id, std::string_view s);
+  /// global id, with its pivot-table column (`column[p]` = d(pivot p, s)).
+  /// Idempotent: ids arrive in slot order, so a re-sent id is ignored.
+  /// Returns true when newly applied. Throws, changing nothing, unless the
+  /// column has num_pivots() entries and the id is this shard's next (or an
+  /// earlier) slot below kMaxSweepPrototypes.
+  bool Insert(std::uint64_t id, std::string_view s, const double* column,
+              std::size_t column_size);
 
   /// Tombstones a global id in this shard's base segment or delta.
   /// Idempotent; returns true when newly applied, false for unknown or
   /// already-dead ids.
   bool Remove(std::uint64_t id);
 
-  /// Bounded exhaustive scan of the live delta in ascending-id order: the
-  /// scattered form of the mutable tier's delta phase. Each evaluation is
-  /// capped by min(cap0, the local k-th hit); `>= cap` abandons, exactly
-  /// the sweeps' semantics, so the result is a deterministic pure function
-  /// of (delta, query, cap0, k) — safe to retry and to byte-compare across
-  /// group members. Hits report global ids in `index`.
-  void DeltaScan(std::string_view query, double cap0, std::size_t k,
-                 std::vector<NeighborResult>* hits,
-                 std::uint64_t* computations, std::uint64_t* abandons) const;
-
-  std::size_t base_dead() const { return base_dead_; }
   std::size_t delta_count() const { return delta_store_.size(); }
-  std::size_t delta_dead() const { return delta_dead_; }
   std::size_t total_dead() const { return base_dead_ + delta_dead_; }
 
   /// Starts a row sweep in `qid`'s slot: the shared seed stage
   /// `SeedSegmentFromRow` (length bounds, every pivot row applied dense,
-  /// this shard's tombstones, then the seed compaction against
-  /// `seed_bound`). Returns the segment's compact result.
+  /// the segment's tombstones, then the seed compaction against
+  /// `seed_bound`) over the base, then the delta packed behind it.
+  /// Returns the slot's compact result over both.
   SweepCompactResult BeginRow(std::uint32_t qid, std::string_view query,
                               const double* row, double seed_bound);
 
   /// d(slot query, prototype at global id) bounded by `cap` — the
   /// scattered form of the sweep's visit evaluation. Pure (idempotent):
   /// safe for the router to retry. Throws std::out_of_range for an id
-  /// outside the segment or an unknown qid.
+  /// this shard does not hold or an unknown qid.
   double Eval(std::uint32_t qid, std::size_t global_id, double cap) const;
 
   /// One row-sweep visit pass on `qid`'s slot: eliminate-and-compact
@@ -163,6 +151,12 @@ class ShardReplica {
     std::size_t live = 0;
   };
   SweepSlot& NewSlot(std::uint32_t qid);
+  std::string_view ViewOf(std::size_t global_id) const;  // see Eval
+  std::size_t DeltaId(std::size_t j) const {
+    return n_total_ + shard_id_ + shard_count_ * j;
+  }
+  /// The delta slot of `id`; false when it is not this shard's insert id.
+  bool DeltaSlot(std::uint64_t id, std::size_t* j) const;
   SweepSlot& SlotOf(std::uint32_t qid);
   const SweepSlot& SlotOf(std::uint32_t qid) const;
 
@@ -173,9 +167,9 @@ class ShardReplica {
   // first use; empty means no deletes.
   std::vector<std::uint64_t> tombs_;  // over base slots
   std::size_t base_dead_ = 0;
-  PrototypeStore delta_store_;               // owned, appendable
-  std::vector<std::uint64_t> delta_ids_;     // global id per delta slot
-  std::vector<std::uint64_t> delta_tombs_;   // over delta slots
+  PrototypeStore delta_store_;  // owned, appendable; slot j = DeltaId(j)
+  std::vector<double> delta_table_;  // row p at p * delta_count()
+  std::vector<std::uint64_t> delta_tombs_;  // over delta slots
   std::size_t delta_dead_ = 0;
 };
 

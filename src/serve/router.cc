@@ -84,10 +84,11 @@ constexpr std::uint32_t kReplyType =
 // The distributed `LaesaRowSweep`: every decision of the row sweep, in one
 // place — read side by side with search/laesa_sweep.h. Both
 // drivers run it and keep only their transport: `QueryRow` blocks on
-// Broadcast/GroupEval (retries, failover, hedging, the delta phase),
-// `DriveSweeps` multiplexes buffered legs and bails to the robust path on
-// any anomaly. Identical decisions on identical values in identical
-// order, so both stay bit-identical to the in-process pivot-row path.
+// Broadcast/GroupEval (retries, failover, hedging), `DriveSweeps`
+// multiplexes buffered legs and bails to the robust path on any anomaly.
+// Identical decisions on identical values in identical order, so both
+// stay bit-identical to the in-process pivot-row path. A shard's segment
+// is its base slice plus its insert delta (serve/replica.h).
 struct ServeRouter::RowSweep {
   /// One shard's view of the sweep, mirrored from its primary's replies.
   struct ShardView {
@@ -115,9 +116,7 @@ struct ServeRouter::RowSweep {
   /// whole, an admissible use), but it never becomes an incumbent.
   bool Seed(const ServeRouter& r, std::size_t want_k, const double* row) {
     router = &r;
-    std::size_t live = r.n_ - r.base_dead_total_;
-    for (const std::size_t d : r.delta_live_) live += d;
-    k = std::min(want_k, live);
+    k = std::min(want_k, r.LiveLocked());
     if (k == 0) return false;
     const std::size_t np = r.pivots_.size();
     views.assign(r.shard_sizes_.size(), ShardView());
@@ -147,29 +146,34 @@ struct ServeRouter::RowSweep {
 
   /// Takes shard `s`'s driving begin/step reply. False, with the view
   /// untouched, when it does not decode to a pass over that shard's own
-  /// segment.
+  /// segment: its base slice and the insert ids it owns.
   bool Absorb(std::size_t s, const std::vector<char>& reply) {
     PayloadReader r(reply);
     const SweepCompactResult pass = DecodeCompact(r);
     const bool in_segment =
         pass.next == kSweepNone ||
-        (pass.live > 0 && pass.next >= router->bases_[s] &&
-         pass.next < router->bases_[s + 1]);
-    if (!r.Done() || !in_segment || pass.live > router->shard_sizes_[s]) {
+        (pass.live > 0 && pass.next < router->next_insert_id_ &&
+         router->ShardOf(pass.next) == s);
+    if (!r.Done() || !in_segment ||
+        pass.live > router->shard_sizes_[s] + router->next_insert_id_ -
+                        router->n_) {
       return false;
     }
     views[s].last = pass;
     return true;
   }
 
-  /// The next candidate: the minimal-key survivor over the active shards'
-  /// last passes, merged in shard order with strict '<' — the lowest
-  /// global id wins ties, exactly as in process. False when none is left.
+  /// The next candidate: the minimal (key, id) survivor over the active
+  /// shards' last passes — the lowest global id wins ties, exactly as in
+  /// process (insert ids interleave across shards, so shard order alone
+  /// would not give it). False when none is left.
   bool SelectNext() {
     cand = kSweepNone;
     double key = kInf;
     for (const ShardView& v : views) {
-      if (v.active && v.last.next != kSweepNone && v.last.next_key < key) {
+      if (v.active && v.last.next != kSweepNone &&
+          (v.last.next_key < key ||
+           (v.last.next_key == key && v.last.next < cand))) {
         key = v.last.next_key;
         cand = v.last.next;
       }
@@ -298,8 +302,6 @@ ServeRouter::ServeRouter(const std::string& snapshot_dir,
   }
 
   next_insert_id_ = n_;
-  shard_dead_.assign(shards, 0);
-  delta_live_.assign(shards, 0);
   shard_ops_.resize(shards);
 
   groups_.resize(shards);
@@ -781,10 +783,11 @@ void ServeRouter::Broadcast(QueryCtx& ctx, FrameType type,
   }
 }
 
-bool ServeRouter::GroupEval(QueryCtx& ctx, std::size_t s, FrameType type,
+bool ServeRouter::GroupEval(QueryCtx& ctx, std::size_t s,
                             const std::vector<char>& payload,
                             std::vector<char>* reply, std::int64_t deadline_ms,
                             ServeResult* res) {
+  constexpr FrameType type = FrameType::kEval;
   GroupCtx& g = ctx.groups[s];
   if (!EnsurePrimary(ctx, s, res)) return false;
 
@@ -923,9 +926,14 @@ bool ServeRouter::GroupEval(QueryCtx& ctx, std::size_t s, FrameType type,
 }
 
 std::size_t ServeRouter::ShardOf(std::size_t global) const {
+  if (global >= n_) return (global - n_) % shard_sizes_.size();
   const auto it =
       std::upper_bound(bases_.begin() + 1, bases_.end(), global);
   return static_cast<std::size_t>(it - (bases_.begin() + 1));
+}
+
+std::size_t ServeRouter::LiveLocked() const {
+  return next_insert_id_ - base_dead_total_ - dead_delta_ids_.size();
 }
 
 int ServeRouter::RemainingMs(std::int64_t deadline_ms) const {
@@ -1020,10 +1028,6 @@ ServeResult ServeRouter::KNearestWithRow(std::string_view query, std::size_t k,
 }
 
 bool ServeRouter::FastWorldLocked() const {
-  if (base_dead_total_ != 0) return false;
-  for (const std::size_t d : delta_live_) {
-    if (d != 0) return false;
-  }
   for (const auto& g : groups_) {
     std::lock_guard<std::mutex> glock(g->mu);
     for (const Replica& m : g->members) {
@@ -1481,11 +1485,12 @@ std::uint64_t ServeRouter::Insert(std::string_view s) {
   std::unique_lock<std::shared_mutex> world(world_mu_);
   writers_waiting_.fetch_sub(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> rlock(respawn_mu_);
+  // The id becomes a sweep id in the workers' 32-bit slabs: refuse it
+  // before anything changes.
+  CheckSweepPrototypeCount(next_insert_id_ + 1, "ServeRouter::Insert");
   if (options_.auto_respawn) RespawnDeadLocked(/*limit=*/0);
   const std::uint64_t id = next_insert_id_++;
-  const std::size_t owner =
-      static_cast<std::size_t>((id - n_) % shard_sizes_.size());
-  ++delta_live_[owner];
+  const std::size_t owner = ShardOf(id);
   MutationOp op;
   op.insert = true;
   op.id = id;
@@ -1504,24 +1509,20 @@ bool ServeRouter::Remove(std::uint64_t id) {
   writers_waiting_.fetch_sub(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> rlock(respawn_mu_);
   if (options_.auto_respawn) RespawnDeadLocked(/*limit=*/0);
-  std::size_t owner = 0;
   if (id < n_) {
     if (base_tombs_.empty()) base_tombs_.assign(TombstoneWords(n_), 0);
     if (TestTombstone(base_tombs_.data(), id)) return false;
     SetTombstone(base_tombs_.data(), id);
-    owner = ShardOf(id);
-    ++shard_dead_[owner];
     ++base_dead_total_;
   } else if (id < next_insert_id_) {
     const auto it =
         std::lower_bound(dead_delta_ids_.begin(), dead_delta_ids_.end(), id);
     if (it != dead_delta_ids_.end() && *it == id) return false;
     dead_delta_ids_.insert(it, id);
-    owner = static_cast<std::size_t>((id - n_) % shard_sizes_.size());
-    --delta_live_[owner];
   } else {
     return false;
   }
+  const std::size_t owner = ShardOf(id);
   MutationOp op;
   op.id = id;
   shard_ops_[owner].push_back(std::move(op));
@@ -1531,9 +1532,7 @@ bool ServeRouter::Remove(std::uint64_t id) {
 
 std::size_t ServeRouter::live_size() const {
   std::shared_lock<std::shared_mutex> world(world_mu_);
-  std::size_t delta = 0;
-  for (const std::size_t v : delta_live_) delta += v;
-  return n_ - base_dead_total_ + delta;
+  return LiveLocked();
 }
 
 std::uint64_t ServeRouter::next_insert_id() const {
@@ -1560,9 +1559,7 @@ void ServeRouter::ReplicateMutation(std::size_t owner, const MutationOp& op) {
     }
     primary = g.primary;
   }
-  PayloadWriter w;
-  w.U64(op.id);
-  if (op.insert) w.Str(op.s);
+  const std::vector<char> payload = MutationPayload(op);
   const FrameType type = op.insert ? FrameType::kInsert : FrameType::kRemove;
   std::vector<std::uint32_t> seqs(R, 0);
   std::vector<char> pending(R, 0), good(R, 0);
@@ -1571,8 +1568,8 @@ void ServeRouter::ReplicateMutation(std::size_t owner, const MutationOp& op) {
     if (!live[r] || conns[r] == nullptr || conns[r]->failed()) continue;
     seqs[r] = conns[r]->NextSeq();
     conns[r]->Expect(seqs[r], /*qid=*/0);
-    if (conns[r]->Send(type, seqs[r], /*qid=*/0, w.buf.data(),
-                       w.buf.size())) {
+    if (conns[r]->Send(type, seqs[r], /*qid=*/0, payload.data(),
+                       payload.size())) {
       pending[r] = 1;
     } else {
       conns[r]->Cancel(seqs[r]);
@@ -1588,7 +1585,7 @@ void ServeRouter::ReplicateMutation(std::size_t owner, const MutationOp& op) {
       good[r] = 1;
     } else if (st == RecvStatus::kTimeout) {
       conns[r]->Cancel(seqs[r]);
-      if (ControlSendRecv(owner, r, type, w.buf, &reply[r],
+      if (ControlSendRecv(owner, r, type, payload, &reply[r],
                           /*retryable=*/true)) {
         good[r] = 1;
       }
@@ -1618,81 +1615,36 @@ void ServeRouter::ReplicateMutation(std::size_t owner, const MutationOp& op) {
   }
 }
 
+std::vector<char> ServeRouter::MutationPayload(const MutationOp& op) const {
+  PayloadWriter w;
+  w.U64(op.id);
+  if (op.insert) {
+    // The insert's pivot-table column, d(pivot p, s) as a build stores it,
+    // from the manifest's pivot strings.
+    w.Str(op.s);
+    w.U64(pivot_strings_.size());
+    for (const std::string& pivot : pivot_strings_) {
+      w.F64(distance_->Distance(pivot, op.s));
+    }
+  }
+  return std::move(w.buf);
+}
+
 bool ServeRouter::ReplayMutations(std::size_t s, std::size_t r) {
   for (const MutationOp& op : shard_ops_[s]) {
-    PayloadWriter w;
-    w.U64(op.id);
-    if (op.insert) w.Str(op.s);
     std::vector<char> reply;
     if (!ControlSendRecv(s, r,
                          op.insert ? FrameType::kInsert : FrameType::kRemove,
-                         w.buf, &reply, /*retryable=*/true)) {
+                         MutationPayload(op), &reply,
+                         /*retryable=*/true)) {
       return false;  // ControlSendRecv already marked the replica dead
     }
   }
   return true;
 }
 
-// The distributed form of the mutable tier's delta phase: every shard
-// holding live delta entries runs one bounded scan (hedged like Eval —
-// the scan is a pure function of the shard's delta), capped by the base
-// sweep's incumbents. The gathered hits are sorted globally by
-// NeighborLess and strict-merged, which reproduces the (distance, id)
-// tie-break exactly: all base ids < all delta ids, and within the delta
-// the sort puts the lower id first at equal distance.
-void ServeRouter::DeltaPhase(QueryCtx& ctx, std::string_view query,
-                             std::int64_t deadline, RowSweep& sweep) {
-  const std::size_t shards = shard_sizes_.size();
-  const std::size_t k = sweep.k;
-  const double cap0 = sweep.kth();
-  std::vector<NeighborResult> hits;
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (delta_live_[s] == 0) continue;
-    // A shard already lost to the base sweep is in missing_shards; its
-    // delta is unreachable through the same dead group.
-    if (!sweep.views[s].active) continue;
-    if (RemainingMs(deadline) == 0) {
-      sweep.res.missing_shards.push_back(s);
-      continue;
-    }
-    PayloadWriter w;
-    w.Str(query);
-    w.F64(cap0);
-    w.U64(k);
-    std::vector<char> reply;
-    bool ok = GroupEval(ctx, s, FrameType::kDeltaScan, w.buf, &reply,
-                        deadline, &sweep.res);
-    if (ok) {
-      PayloadReader r(reply);
-      const std::size_t mark = hits.size();
-      const std::uint64_t count = r.U64();
-      ok = r.ok() && count <= k;  // a worker returns at most k hits
-      for (std::uint64_t i = 0; ok && i < count; ++i) {
-        const std::uint64_t id = r.U64();
-        const double d = r.F64();
-        ok = r.ok();
-        if (ok) hits.push_back({static_cast<std::size_t>(id), d});
-      }
-      const std::uint64_t comps = r.U64();
-      const std::uint64_t ab = r.U64();
-      ok = ok && r.Done();
-      if (ok) {
-        sweep.computations += comps;
-        sweep.abandons += ab;
-      } else {
-        // Partially decoded garbage: drop what it contributed.
-        hits.resize(mark);
-        MarkDead(ctx, s, ctx.groups[s].primary);
-      }
-    }
-    if (!ok) sweep.Drop(s);
-  }
-  std::sort(hits.begin(), hits.end(), NeighborLess);
-  for (const NeighborResult& h : hits) InsertNeighborTopK(sweep.best, k, h);
-}
-
 // The robust driver of the row sweep (RowSweep): blocking exchanges with
-// retries, failover and hedging, partial flagging, and the delta phase.
+// retries, failover and hedging, and partial flagging.
 // The row (computed by the caller — KNearest router-side, the admission
 // front end for its coalesced batches) is charged here, once per query,
 // as the in-process batch engine charges it.
@@ -1722,8 +1674,7 @@ ServeResult ServeRouter::QueryRow(QueryCtx& ctx, std::string_view query,
     }
     const std::size_t owner = ShardOf(sweep.cand);
     std::vector<char> reply;
-    bool ok = GroupEval(ctx, owner, FrameType::kEval,
-                        sweep.EvalPayload().buf, &reply, deadline,
+    bool ok = GroupEval(ctx, owner, sweep.EvalPayload().buf, &reply, deadline,
                         &sweep.res);
     if (ok && !sweep.AbsorbEval(reply)) {
       MarkDead(ctx, owner, ctx.groups[owner].primary);
@@ -1743,10 +1694,6 @@ ServeResult ServeRouter::QueryRow(QueryCtx& ctx, std::string_view query,
     Broadcast(ctx, FrameType::kStepRow, sweep.StepPayload().buf,
               /*retryable=*/false, deadline, sweep);
   }
-
-  // The delta phase: everything inserted since the snapshot lives in the
-  // workers' in-memory deltas, scanned bounded by the base incumbents.
-  DeltaPhase(ctx, query, deadline, sweep);
   return sweep.Finish();
 }
 

@@ -139,14 +139,15 @@ struct ServeResult {
 /// router evaluates the query's pivot row from the manifest's pivot
 /// strings, seeds the incumbents from it, and makes every global decision
 /// (incumbents, elimination bound, next candidate — merged over the
-/// per-shard compact results in shard order with strict '<', the
-/// lowest-global-index tie rule); workers apply the row, run the kernel
-/// passes over their segments and evaluate the candidates they own, and
-/// the elimination radius tightens between rounds exactly as it does in
-/// process. A healthy router is therefore bit-identical — neighbours,
-/// distances AND QueryStats — to the in-process `ComputePivotRow` +
+/// per-shard compact results on (key, id), the lowest-global-index tie
+/// rule); workers apply the row, run the kernel passes over their
+/// segments and evaluate the candidates they own, and the elimination
+/// radius tightens between rounds exactly as it does in process. A
+/// healthy router is therefore bit-identical — neighbours, distances AND
+/// QueryStats — to the in-process `ComputePivotRow` +
 /// `KNearestWithPivotRow`, regardless of worker or replica count. (The
-/// paper's lazy LAESA sweep runs only in process.)
+/// paper's lazy LAESA sweep runs only in process.) Inserts are slots of
+/// the workers' segments too, so the same sweep covers them.
 ///
 /// Concurrency model (the concurrent pipelined router): N caller threads
 /// drive N simultaneous scatter/gather sweeps over the *shared* worker
@@ -279,7 +280,9 @@ class ServeRouter {
   /// order and never interleave with an in-flight sweep.
 
   /// Appends one prototype; returns its stable global id (ids start at
-  /// size() and are never reused). The owner shard is id-round-robin.
+  /// size() and are never reused). The owner shard is id-round-robin and
+  /// gets the insert's pivot-table column (num_pivots() evaluations).
+  /// Throws std::length_error, changing nothing, at kMaxSweepPrototypes.
   std::uint64_t Insert(std::string_view s);
 
   /// Tombstones a stable id (base or delta). Returns false when the id is
@@ -300,8 +303,9 @@ class ServeRouter {
   /// as the in-process batch engine charges them per query, so results
   /// stay bit-identical to KNearest of the same query. Respawns dead
   /// replicas first (`auto_respawn`), then runs with retries, failover,
-  /// hedging, partial flagging and the delta phase. Throws
-  /// std::invalid_argument when `row.size() != num_pivots()`.
+  /// hedging and partial flagging; tie winners follow visit order, inserts
+  /// included. Throws std::invalid_argument when
+  /// `row.size() != num_pivots()`.
   ServeResult KNearestWithRow(std::string_view query, std::size_t k,
                               const std::vector<double>& row);
 
@@ -324,13 +328,13 @@ class ServeRouter {
   ///
   /// Exactness: per query the driver replays the exact KNearestWithRow
   /// exchange sequence (begin, eval, step, in the same order with the
-  /// same payloads), so healthy results are bit-identical to it. The fast
-  /// path requires a fully healthy world (every replica alive, no
-  /// mutations pending); a query that hits any anomaly mid-sweep
-  /// (timeout, death, byte disagreement, deadline) abandons its sweep
-  /// slots and is delivered back `bailed`, for its caller to rerun
-  /// through the robust per-query path (retries, failover, hedging,
-  /// partial flagging).
+  /// same payloads), so healthy results are bit-identical to it — before
+  /// and after Insert/Remove, which only change the workers' segments.
+  /// The fast path requires every replica alive; a query that hits any
+  /// anomaly mid-sweep (timeout, death, byte disagreement, deadline)
+  /// abandons its sweep slots and is delivered back `bailed`, for its
+  /// caller to rerun through the robust per-query path (retries,
+  /// failover, hedging, partial flagging).
   ///
   /// World-lock fairness: the driver holds the world lock shared while
   /// sweeps are in flight, which (on a reader-preferring rwlock) would
@@ -339,9 +343,9 @@ class ServeRouter {
   /// and the driver checks the counter each round — when one is waiting
   /// it stops admitting, drains, and releases with a real gap so the
   /// writer wins the lock. In read-only steady state the hold is never
-  /// cycled. When the world is not fast-path eligible (a replica down,
-  /// mutations applied), jobs are delivered back `bailed` immediately and
-  /// run robustly on their callers' threads instead.
+  /// cycled. When the world is not fast-path eligible (a replica down),
+  /// jobs are delivered back `bailed` immediately and run robustly on
+  /// their callers' threads instead.
   void DriveSweeps(SweepFeed& feed, std::size_t max_concurrent = 0);
 
   /// Heartbeat: pings every replica (retrying per options), marking the
@@ -465,12 +469,11 @@ class ServeRouter {
                  const std::vector<char>& payload, bool retryable,
                  std::int64_t deadline_ms, RowSweep& sweep);
 
-  /// One idempotent read (`kEval` or `kDeltaScan`) against shard `s`:
-  /// primary first, hedged to a standby after `hedge_delay_ms`, first
-  /// valid reply wins — both ops are pure functions of the shard's state,
-  /// so either answer is exact. Falls back to plain retries when the group
-  /// has no standby or hedging is off.
-  bool GroupEval(QueryCtx& ctx, std::size_t s, FrameType type,
+  /// One `kEval` against shard `s`: primary first, hedged to a standby
+  /// after `hedge_delay_ms`, first valid reply wins — an eval is a pure
+  /// function of the shard's state, so either answer is exact. Falls back
+  /// to plain retries when the group has no standby or hedging is off.
+  bool GroupEval(QueryCtx& ctx, std::size_t s,
                  const std::vector<char>& payload, std::vector<char>* reply,
                  std::int64_t deadline_ms, ServeResult* res);
 
@@ -487,14 +490,15 @@ class ServeRouter {
   /// brings the new process to the group's current state. Returns false
   /// (replica already marked dead) when any op fails to apply.
   bool ReplayMutations(std::size_t s, std::size_t r);
+  /// The kInsert / kRemove payload of `op`; an insert's carries its
+  /// pivot-table column, recomputed for every replication and replay.
+  std::vector<char> MutationPayload(const MutationOp& op) const;
 
-  /// The mutable tier's delta phase: scatters a bounded scan to every
-  /// shard holding live delta entries and strict-merges the gathered hits
-  /// into the sweep's incumbents in global NeighborLess order.
-  void DeltaPhase(QueryCtx& ctx, std::string_view query,
-                  std::int64_t deadline, RowSweep& sweep);
-
+  /// The shard holding global id `global`: base ids by range, insert ids
+  /// round-robin (id n + s + S·j is shard s's delta slot j).
   std::size_t ShardOf(std::size_t global) const;
+  /// live_size() for a caller that holds `world_mu_`.
+  std::size_t LiveLocked() const;
   int RemainingMs(std::int64_t deadline_ms) const;
 
   /// Cheap any-dead scan; only when one exists does the query path take
@@ -512,9 +516,9 @@ class ServeRouter {
   /// num_pivots() entries). Charges the row evaluations to the stats.
   ServeResult QueryRow(QueryCtx& ctx, std::string_view query, std::size_t k,
                        const double* row);
-  /// True when the multiplexed fast path may run: no tombstones, no
-  /// delta entries, every replica alive on a healthy connection. Caller
-  /// holds `world_mu_` shared.
+  /// True when the multiplexed fast path may run: every replica alive on
+  /// a healthy connection (mutations live in the workers' segments, which
+  /// both query paths sweep alike). Caller holds `world_mu_` shared.
   bool FastWorldLocked() const;
 
   // Manifest state (immutable after construction — read lock-free).
@@ -536,13 +540,11 @@ class ServeRouter {
   mutable std::atomic<std::uint32_t> qid_counter_{0};
 
   // Mutable-tier bookkeeping (the router-side mirror of the workers'
-  // delta/tombstone state; drives the masked begin, the k clamp, pivot
-  // seeding, and respawn replay). Guarded by `world_mu_`.
+  // delta/tombstone state; drives the k clamp, pivot seeding, the reply
+  // checks, and respawn replay). Guarded by `world_mu_`.
   std::uint64_t next_insert_id_ = 0;       // initialised to n_
   std::vector<std::uint64_t> base_tombs_;  // bitmap over base ids; lazy
-  std::vector<std::size_t> shard_dead_;    // base tombstones per shard
   std::size_t base_dead_total_ = 0;
-  std::vector<std::size_t> delta_live_;        // live delta per shard
   std::vector<std::uint64_t> dead_delta_ids_;  // sorted, Remove dedup
   std::vector<std::vector<MutationOp>> shard_ops_;  // per-shard journal
 

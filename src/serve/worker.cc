@@ -36,8 +36,6 @@ const char* OpClass(FrameType type) {
       return "insert";
     case FrameType::kRemove:
       return "remove";
-    case FrameType::kDeltaScan:
-      return "scan";
     default:
       return "other";
   }
@@ -189,8 +187,13 @@ int RunShardWorker(int fd, const WorkerConfig& config) {
         case FrameType::kInsert: {
           const std::uint64_t id = r.U64();
           const std::string s = r.Str();
+          const std::uint64_t np = r.U64();
+          std::vector<double> column;
+          for (std::uint64_t p = 0; p < np && r.ok(); ++p) {
+            column.push_back(r.F64());
+          }
           if (!r.Done()) throw std::runtime_error("malformed Insert");
-          replica->Insert(id, s);
+          replica->Insert(id, s, column.data(), column.size());
           // Dedup-stable reply: the delta count after this id is applied is
           // the same whether this delivery was first or a retry, so a lost
           // reply re-sent still byte-agrees across the group.
@@ -203,25 +206,6 @@ int RunShardWorker(int fd, const WorkerConfig& config) {
           replica->Remove(id);
           // Dedup-stable for the same reason as kInsert.
           reply.U64(replica->total_dead());
-          break;
-        }
-        case FrameType::kDeltaScan: {
-          const std::string query = r.Str();
-          const double cap0 = r.F64();
-          const std::uint64_t k = r.U64();
-          if (!r.Done()) throw std::runtime_error("malformed DeltaScan");
-          std::vector<NeighborResult> hits;
-          std::uint64_t comps = 0;
-          std::uint64_t abandons = 0;
-          replica->DeltaScan(query, cap0, static_cast<std::size_t>(k), &hits,
-                             &comps, &abandons);
-          reply.U64(hits.size());
-          for (const NeighborResult& h : hits) {
-            reply.U64(h.index);
-            reply.F64(h.distance);
-          }
-          reply.U64(comps);
-          reply.U64(abandons);
           break;
         }
         default: {

@@ -23,9 +23,13 @@ struct WorkerConfig {
 /// socketpair) until the router sends kShutdown, the socket closes, or an
 /// injected crash fires. Maps the shard snapshot (checksum-verified), then
 /// serves Ping, the row sweep (BeginRow/Eval/StepRow/EndSweep) and the
-/// mutable tier's Insert/Remove/DeltaScan, applying the fault spec's
-/// deterministic schedule to each. Any other request type — including the
-/// retired types 2 and 5 — gets a kError reply and the loop serves on.
+/// mutable tier's Insert/Remove, applying the fault spec's deterministic
+/// schedule to each. An insert carries its pivot-table column and becomes
+/// a slot of the shard's delta segment, which the same row sweep covers;
+/// one that fails validation (column length, an id that is not this
+/// shard's, the sweep id limit) gets kError and changes nothing. Any other
+/// request type — including the retired types 2, 5 and 12 — gets a kError
+/// reply and the loop serves on.
 /// Returns the process exit code (0 on clean shutdown). Never throws: a
 /// snapshot or protocol failure is reported as a kError frame where
 /// possible and a nonzero return otherwise.

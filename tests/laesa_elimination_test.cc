@@ -61,6 +61,34 @@ TEST(LaesaEliminationTest, TieLowerBoundIsEliminatedInKNearest) {
   EXPECT_EQ(stats.distance_computations, 1u);
 }
 
+TEST(LaesaEliminationTest, SeededPivotTiesGoToTheLowerId) {
+  // The pivot-row sweeps seed the incumbents with every paid pivot
+  // distance, admitting ties in (distance, id) order. Pivots {3, 1}: the
+  // later ordinal holds the lower id, the query is at distance 4 from both
+  // and farther from everything else, so the seed decides the 1-NN and the
+  // lower id must win — flat, and sharded (max-min selection from
+  // prototype 3 picks the same pivots).
+  const std::vector<std::string> protos{"zzzz", "yyyyyyyy", "wwwww", "xxxx"};
+  const std::string query = "xxxxyyyy";
+  const Laesa flat(protos, MakeDistance("dE"), std::vector<std::size_t>{3, 1});
+  const ShardedPrototypeStore store(protos, 2);
+  const ShardedLaesa sharded(store, MakeDistance("dE"), 2, /*first_pivot=*/3);
+  ASSERT_EQ(sharded.pivots(), flat.pivots());
+  for (const PivotStageSearcher* index :
+       {static_cast<const PivotStageSearcher*>(&flat),
+        static_cast<const PivotStageSearcher*>(&sharded)}) {
+    std::vector<double> row(index->pivot_count());
+    index->ComputePivotRow(query, row.data());
+    ASSERT_EQ(row, (std::vector<double>{4.0, 4.0}));
+    const NeighborResult nn = index->NearestWithPivotRow(query, row.data());
+    EXPECT_EQ(nn.index, 1u);
+    EXPECT_EQ(nn.distance, 4.0);
+    const auto knn = index->KNearestWithPivotRow(query, 1, row.data());
+    ASSERT_EQ(knn.size(), 1u);
+    EXPECT_EQ(knn[0].index, 1u);
+  }
+}
+
 TEST(LaesaEliminationTest, KNearestOneMirrorsNearestExactly) {
   // With harmonized thresholds, k = 1 KNearest and Nearest follow the same
   // trajectory: same result, same computation count, on every query.

@@ -224,8 +224,6 @@ TEST(MutableLaesaTest, RemovedIdsNeverSurfaceAtAnyPrecisionOrKernel) {
 TEST(MutableLaesaTest, DeltaIndexRegimeStaysExactWithDeletes) {
   auto dist = MakeDistance("dE");
   MutableLaesa::Options opt;
-  opt.delta_index_threshold = 16;  // force the delta LAESA early
-  opt.delta_pivots = 3;
   MutableLaesa index(dist, opt);  // starts empty: everything lives in delta
   Model model;
 
@@ -234,7 +232,7 @@ TEST(MutableLaesaTest, DeltaIndexRegimeStaysExactWithDeletes) {
     const std::uint64_t id = index.Insert(words[i]);
     model.Insert(id, words[i]);
   }
-  ASSERT_GE(index.delta_size(), opt.delta_index_threshold);
+  ASSERT_GE(index.delta_size(), 16u);
   // Remove a spread that includes the delta index's own pivots (slots 0..2).
   for (const std::uint64_t id : {0ull, 1ull, 2ull, 20ull, 41ull, 59ull}) {
     ASSERT_TRUE(index.Remove(id));
@@ -243,6 +241,48 @@ TEST(MutableLaesaTest, DeltaIndexRegimeStaysExactWithDeletes) {
   Rng rng(71006);
   const auto queries = MakeQueries(words, 12, 2, Alphabet::Latin(), rng);
   ExpectMatchesOracle(index, model, *dist, queries, 5, "delta-laesa");
+}
+
+// --- Inserts are pivot-table columns of the delta segment ----------------
+
+TEST(MutableLaesaTest, InsertsBeyondEveryKthNeighbourCostNoEvaluation) {
+  // An insert pays its pivot distances once; the base pivot rows the
+  // sweep visits then bound it like any base prototype. Inserts whose
+  // length bound lies beyond every query's k-th neighbour are eliminated
+  // without being evaluated: answers AND QueryStats equal those before the
+  // inserts, at every table precision.
+  const auto base = Words(150, 71020);
+  auto dist = MakeDistance("dE");
+  Rng rng(71021);
+  const auto queries = MakeQueries(base, 10, 2, Alphabet::Latin(), rng);
+  for (const TablePrecision precision : kAllPrecisions) {
+    MutableLaesa::Options opt;
+    opt.table_precision = precision;
+    MutableLaesa index(base, dist, opt);
+    std::vector<std::vector<NeighborResult>> before;
+    std::vector<QueryStats> before_stats(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      before.push_back(index.KNearest(queries[i], 5, &before_stats[i]));
+    }
+    for (int i = 0; i < 20; ++i) {
+      std::string s(80, 'a');
+      for (char& c : s) c = static_cast<char>('a' + rng.Index(26));
+      index.Insert(s);
+    }
+    ASSERT_EQ(index.delta_size(), 20u);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      QueryStats st;
+      const auto got = index.KNearest(queries[i], 5, &st);
+      ASSERT_EQ(got.size(), before[i].size());
+      for (std::size_t r = 0; r < got.size(); ++r) {
+        EXPECT_EQ(got[r].index, before[i][r].index) << queries[i];
+        EXPECT_EQ(got[r].distance, before[i][r].distance) << queries[i];
+      }
+      EXPECT_TRUE(st == before_stats[i])
+          << queries[i] << ": " << st.distance_computations << " vs "
+          << before_stats[i].distance_computations << " computations";
+    }
+  }
 }
 
 // --- Merges: rewrite, snapshot durability, from-scratch bit-identity ------

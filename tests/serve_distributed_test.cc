@@ -1032,5 +1032,190 @@ TEST(ServeDistributedTest, MutatedTierStaysExactAcrossPrecisionsAndKernels) {
   ASSERT_TRUE(SetActiveSweepKernels(saved_kernel));
 }
 
+
+/// A fixed batch of jobs for `ServeRouter::DriveSweeps`, driven on the
+/// calling thread: every job is admitted, and each delivery is recorded.
+class BatchFeed : public SweepFeed {
+ public:
+  BatchFeed(const std::vector<std::string>& queries,
+            const std::vector<std::vector<double>>& rows, std::size_t k)
+      : queries_(queries), rows_(rows), k_(k),
+        results_(queries.size()), bailed_(queries.size(), false),
+        delivered_(queries.size(), false) {}
+
+  bool Next(SweepJob* out) override {
+    if (next_ == queries_.size()) return false;
+    out->query = queries_[next_];
+    out->k = k_;
+    out->row = rows_[next_].data();
+    out->tag = next_++;
+    return true;
+  }
+  bool Finished() override { return next_ == queries_.size(); }
+  void Deliver(std::uint64_t tag, ServeResult res, bool bailed) override {
+    results_[tag] = std::move(res);
+    bailed_[tag] = bailed;
+    delivered_[tag] = true;
+  }
+
+  const ServeResult& result(std::size_t i) const { return results_[i]; }
+  bool bailed(std::size_t i) const { return bailed_[i]; }
+  bool delivered(std::size_t i) const { return delivered_[i]; }
+
+ private:
+  const std::vector<std::string>& queries_;
+  const std::vector<std::vector<double>>& rows_;
+  std::size_t k_;
+  std::size_t next_ = 0;
+  std::vector<ServeResult> results_;
+  std::vector<bool> bailed_, delivered_;
+};
+
+TEST(ServeDistributedTest, PipelinedPathServesAMutatedWorldWithoutBailing) {
+  // Inserts and removes change only the workers' sweep segments, so the
+  // multiplexed `DriveSweeps` loop keeps serving after them: no job bails, every
+  // answer matches the live oracle, and each is bit-identical — stats
+  // included — to the robust per-query path over the same world.
+  Workload w = MakeWorkload(120, 6, 9800);
+  Deployment dep(w.protos, 4, 8);
+  ServeRouter router(dep.dir.path, FastOptions());
+  auto dist = MakeDistance("dE");
+
+  std::map<std::uint64_t, std::string> live;
+  for (std::size_t i = 0; i < w.protos.size(); ++i) live[i] = w.protos[i];
+  for (int i = 0; i < 9; ++i) {
+    const std::string s = w.protos[i * 11] + "=" + std::to_string(i);
+    live[router.Insert(s)] = s;
+  }
+  for (const std::uint64_t id : {std::uint64_t{0}, std::uint64_t{33},
+                                 std::uint64_t{w.protos.size() + 4}}) {
+    ASSERT_TRUE(router.Remove(id));
+    live.erase(id);
+  }
+  // Queries that hit the inserts themselves, next to the perturbed ones.
+  std::vector<std::string> queries = w.queries;
+  queries.push_back(live.at(w.protos.size() + 1));
+  queries.push_back(live.at(w.protos.size() + 8));
+  std::vector<std::vector<double>> rows;
+  for (const auto& q : queries) rows.push_back(dep.PivotRow(q));
+
+  BatchFeed feed(queries, rows, 5);
+  router.DriveSweeps(feed);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const std::string ctx = "q=" + queries[i];
+    ASSERT_TRUE(feed.delivered(i)) << ctx;
+    EXPECT_FALSE(feed.bailed(i)) << ctx;
+    if (feed.bailed(i)) continue;
+    ExpectServesLiveOracle(feed.result(i), live, *dist, queries[i], 5, ctx);
+    const ServeResult robust = router.KNearestWithRow(queries[i], 5, rows[i]);
+    ASSERT_EQ(feed.result(i).neighbors.size(), robust.neighbors.size()) << ctx;
+    for (std::size_t j = 0; j < robust.neighbors.size(); ++j) {
+      EXPECT_EQ(feed.result(i).neighbors[j].index, robust.neighbors[j].index)
+          << ctx << " rank " << j;
+      EXPECT_EQ(feed.result(i).neighbors[j].distance,
+                robust.neighbors[j].distance)
+          << ctx << " rank " << j;
+    }
+    EXPECT_TRUE(feed.result(i).stats == robust.stats) << ctx;
+  }
+}
+
+TEST(ServeDistributedTest, InsertsBeyondEveryKthNeighbourCostNoEvaluation) {
+  // An insert is a column of pivot distances in its owner's delta
+  // segment: one whose length bound lies beyond every query's k-th
+  // neighbour is eliminated at the seed, never evaluated — the queries'
+  // answers AND QueryStats are exactly those before the inserts.
+  Workload w = MakeWorkload(120, 6, 9850);
+  Deployment dep(w.protos, 4, 8);
+  ServeRouter router(dep.dir.path, FastOptions());
+  std::vector<ServeResult> before;
+  for (const auto& q : w.queries) before.push_back(router.KNearest(q, 5));
+
+  Rng rng(9851);
+  for (int i = 0; i < 12; ++i) {
+    std::string s(80, 'a');
+    for (char& c : s) c = static_cast<char>('a' + rng.Index(26));
+    router.Insert(s);
+  }
+  for (std::size_t i = 0; i < w.queries.size(); ++i) {
+    const std::string ctx = "q=" + w.queries[i];
+    QueryStats ref;
+    const auto want = dep.Reference(w.queries[i], 5, &ref);
+    ExpectHealthyIdentical(before[i], want, ref, ctx + " before");
+    ExpectHealthyIdentical(router.KNearest(w.queries[i], 5), want, ref,
+                           ctx + " after");
+  }
+}
+
+TEST(ServeDistributedTest, MangledInsertReplyEvictsTheStandbyAndReplayHeals) {
+  // A standby whose kInsert reply disagrees with the primary's is evicted
+  // by the mutation's byte check; its respawn replays the journal, with
+  // every insert column recomputed from the manifest's pivot strings, and
+  // once promoted it serves the live world exactly.
+  Workload w = MakeWorkload(100, 4, 9900);
+  Deployment dep(w.protos, 2, 6);
+  ServeOptions opt = FastOptions();
+  opt.fault_spec = "mangle:shard=0,op=insert,replica=1,nth=1";
+  // No respawn until asked: the later mutations reach only the primary, so
+  // the journal is the standby's sole record of them.
+  opt.auto_respawn = false;
+  ServeRouter router(dep.dir.path, opt);
+  auto dist = MakeDistance("dE");
+
+  std::map<std::uint64_t, std::string> live;
+  for (std::size_t i = 0; i < w.protos.size(); ++i) live[i] = w.protos[i];
+  // The first insert id is size(): shard 0's first delta slot.
+  const std::string first = w.protos[8] + "!0";
+  const std::uint64_t first_id = router.Insert(first);
+  ASSERT_EQ(first_id, w.protos.size());
+  live[first_id] = first;
+  EXPECT_TRUE(router.replica_alive(0, 0));
+  EXPECT_FALSE(router.replica_alive(0, 1)) << "mangled standby not evicted";
+
+  for (int i = 1; i < 6; ++i) {
+    const std::string s = w.protos[i * 13] + "!" + std::to_string(i);
+    live[router.Insert(s)] = s;
+  }
+  ASSERT_TRUE(router.Remove(w.protos.size() + 2));
+  live.erase(w.protos.size() + 2);
+  EXPECT_GE(router.RespawnDead(), 1u);
+  ASSERT_TRUE(router.PingAll());
+
+  // Kill the primary: the replayed replica now answers for shard 0.
+  const pid_t primary = router.replica_pid(0, 0);
+  ASSERT_GT(primary, 0);
+  ASSERT_EQ(kill(primary, SIGKILL), 0);
+  for (const auto& q : w.queries) {
+    ExpectServesLiveOracle(router.KNearest(q, 4), live, *dist, q, 4,
+                           "replayed q=" + q);
+  }
+  const ServeResult hit = router.Nearest(first);
+  ASSERT_EQ(hit.neighbors.size(), 1u);
+  EXPECT_EQ(hit.neighbors[0].index, first_id);
+  EXPECT_EQ(hit.neighbors[0].distance, 0.0);
+}
+
+TEST(ServeDistributedTest, SeededPivotTiesGoToTheLowerIdOverTheWire) {
+  // Max-min selection from prototype 3 picks pivots {3, 1}: the later
+  // ordinal holds the lower id. The query is at distance 4 from both and
+  // farther from everything else, so the pivot-row seed decides the
+  // 1-NN, and the router must admit the tie to the lower id — as the
+  // in-process row sweep does.
+  const std::vector<std::string> protos = {"zzzz", "yyyyyyyy", "wwwww",
+                                           "xxxx"};
+  TempDir dir;
+  const ShardedPrototypeStore store(protos, 2);
+  const ShardedLaesa index(store, MakeDistance("dE"), 2, /*first_pivot=*/3);
+  ASSERT_EQ(index.pivots(), (std::vector<std::size_t>{3, 1}));
+  SaveServingSnapshot(index, dir.path);
+  ServeOptions opt = FastOptions();
+  opt.replicas = 1;
+  ServeRouter router(dir.path, opt);
+  const ServeResult got = router.Nearest("xxxxyyyy");
+  ASSERT_EQ(got.neighbors.size(), 1u);
+  EXPECT_EQ(got.neighbors[0].index, 1u);
+  EXPECT_EQ(got.neighbors[0].distance, 4.0);
+}
+
 }  // namespace
 }  // namespace cned

@@ -298,6 +298,16 @@ TEST(ServeFaultTest, RejectsUnknownKindsKeysOpsAndValues) {
   EXPECT_THROW(FaultSpec::Parse("crash:shard="), std::invalid_argument);
 }
 
+TEST(ServeFaultTest, MutationOpsParseAndTheRetiredScanOpIsRejected) {
+  const FaultSpec spec = FaultSpec::Parse(
+      "mangle:shard=0,op=insert,replica=1,nth=1|drop:op=remove,every=2");
+  ASSERT_EQ(spec.directives.size(), 2u);
+  EXPECT_EQ(spec.directives[0].op, "insert");
+  EXPECT_EQ(spec.directives[0].replica, 1);
+  EXPECT_EQ(spec.directives[1].op, "remove");
+  EXPECT_THROW(FaultSpec::Parse("crash:op=scan"), std::invalid_argument);
+}
+
 TEST(ServeFaultTest, NthFiresExactlyOnceAndCountsPerDirective) {
   FaultInjector inj(FaultSpec::Parse("crash:op=step,nth=3"), /*shard=*/0);
   EXPECT_FALSE(inj.OnRequest("step").crash);
@@ -361,10 +371,10 @@ TEST(ServeFaultTest, MangleKindFlagsPayloadCorruption) {
 }
 
 TEST(ServeWorkerTest, RetiredFrameTypesGetErrorAndTheWorkerServesOn) {
-  // Types 2 and 5 carried the retired lazy sweep. They still pass the
-  // frame layer, so a worker must answer each with kError (echoing its
-  // sequence and query id) and keep serving: the next ping on the same
-  // connection is answered normally.
+  // Types 2 and 5 carried the retired lazy sweep, type 12 the retired
+  // delta scan. They still pass the frame layer, so a worker must answer
+  // each with kError (echoing its sequence and query id) and keep serving:
+  // the next ping on the same connection is answered normally.
   TempDir dir;
   const ShardedPrototypeStore store(Words(40, 8600), 2);
   const ShardedLaesa index(store, MakeDistance("dE"), 4);
@@ -379,7 +389,7 @@ TEST(ServeWorkerTest, RetiredFrameTypesGetErrorAndTheWorkerServesOn) {
   std::thread worker([&] { exit_code = RunShardWorker(sp.fds[1], config); });
   // EXPECTs only from here to the join: an ASSERT would return past it.
   std::uint32_t seq = 0;
-  for (const std::uint32_t retired : {2u, 5u}) {
+  for (const std::uint32_t retired : {2u, 5u, 12u}) {
     PayloadWriter w;
     w.Str("casa");
     w.U32(0);
@@ -411,6 +421,74 @@ TEST(ServeWorkerTest, RetiredFrameTypesGetErrorAndTheWorkerServesOn) {
   Frame bye;
   EXPECT_EQ(RecvFrame(sp.fds[0], &bye, 5000), RecvStatus::kOk);
   shutdown(sp.fds[0], SHUT_WR);  // EOF ends the loop even if a send failed
+  worker.join();
+  EXPECT_EQ(exit_code, 0);
+}
+
+
+TEST(ServeWorkerTest, InvalidInsertsGetErrorAndChangeNothing) {
+  // A kInsert is validated before it touches the shard: a column that is
+  // not num_pivots long, an id that is not this shard's (or skips its next
+  // slot), and an id at the sweep's 32-bit limit each get kError, and the
+  // next valid insert still lands in delta slot 0.
+  TempDir dir;
+  const ShardedPrototypeStore store(Words(40, 8700), 2);
+  const ShardedLaesa index(store, MakeDistance("dE"), 4);
+  SaveServingSnapshot(index, dir.path);
+  WorkerConfig config;
+  config.store_path = ShardStorePath(dir.path, 0);
+  config.index_path = ShardIndexPath(dir.path, 0);
+  config.distance = "dE";
+  const std::uint64_t n = store.size();
+
+  SocketPair sp;
+  int exit_code = -1;
+  std::thread worker([&] { exit_code = RunShardWorker(sp.fds[1], config); });
+  // EXPECTs only from here to the join: an ASSERT would return past it.
+  std::uint32_t seq = 0;
+  const auto insert = [&](std::uint64_t id, std::size_t columns, Frame* f) {
+    PayloadWriter w;
+    w.U64(id);
+    w.Str("casa");
+    w.U64(columns);
+    for (std::size_t p = 0; p < columns; ++p) w.F64(1.0 + p);
+    ++seq;
+    EXPECT_TRUE(SendFrame(sp.fds[0], FrameType::kInsert, seq, /*qid=*/0,
+                          w.buf.data(), w.buf.size()));
+    EXPECT_EQ(RecvFrame(sp.fds[0], f, 5000), RecvStatus::kOk);
+    EXPECT_EQ(f->seq, seq);
+  };
+  struct Bad {
+    std::uint64_t id;
+    std::size_t columns;
+    const char* why;
+  };
+  // Shard 0 of 2 owns insert ids n, n + 2, n + 4, ...
+  for (const Bad& bad : {Bad{n, 3, "entries, want 4"},
+                         Bad{n + 1, 4, "is not this shard's next insert id"},
+                         Bad{0, 4, "is not this shard's next insert id"},
+                         Bad{n + 2, 4, "is not this shard's next insert id"},
+                         Bad{n + (std::uint64_t{1} << 31), 4,
+                             "exceed the sweep limit"}}) {
+    Frame f;
+    insert(bad.id, bad.columns, &f);
+    EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kError))
+        << bad.why;
+    PayloadReader r(f.payload);
+    EXPECT_NE(r.Str().find(bad.why), std::string::npos) << bad.why;
+  }
+  Frame ok;
+  insert(n, 4, &ok);
+  EXPECT_EQ(ok.type, static_cast<std::uint32_t>(FrameType::kReply));
+  PayloadReader count(ok.payload);
+  EXPECT_EQ(count.U64(), 1u);  // the delta holds exactly the valid insert
+  EXPECT_TRUE(count.Done());
+
+  EXPECT_TRUE(
+      SendFrame(sp.fds[0], FrameType::kShutdown, ++seq, 0, nullptr, 0));
+  Frame bye;
+  EXPECT_EQ(RecvFrame(sp.fds[0], &bye, 5000), RecvStatus::kOk);
+  shutdown(sp.fds[0], SHUT_WR);
   worker.join();
   EXPECT_EQ(exit_code, 0);
 }
