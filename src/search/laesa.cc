@@ -10,7 +10,6 @@
 #include <string>
 
 #include "common/binary_io.h"
-#include "common/parallel.h"
 #include "search/laesa_sweep.h"
 #include "search/pivot_selection.h"
 #include "search/sweep_kernel.h"
@@ -23,17 +22,23 @@ Laesa::Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
     : prototypes_(prototypes),
       distance_(std::move(distance)),
       precision_(table_precision) {
-  if (store().empty()) {
+  const std::size_t n = store().size();
+  if (n == 0) {
     throw std::invalid_argument("Laesa: empty prototype set");
   }
-  num_pivots = std::min(num_pivots, store().size());
+  num_pivots = std::min(num_pivots, n);
   if (num_pivots == 0) {
     throw std::invalid_argument("Laesa: need at least one pivot");
   }
-  pivots_ = SelectPivotsMaxMin(store(), *distance_, num_pivots, first_pivot);
-  preprocessing_computations_ +=
-      static_cast<std::uint64_t>(pivots_.size()) * store().size();
-  BuildTable();
+  CheckSweepPrototypeCount(n, "Laesa");
+  // The selection's distance rows are the table: appended as each pivot
+  // is chosen, never recomputed.
+  pivot_dist_.reserve(num_pivots * n);
+  pivots_ = SelectPivotsMaxMin(
+      store(), *distance_, num_pivots, first_pivot, [&](const double* row) {
+        pivot_dist_.insert(pivot_dist_.end(), row, row + n);
+      });
+  FinishTable();
 }
 
 Laesa::Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
@@ -43,38 +48,34 @@ Laesa::Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
       distance_(std::move(distance)),
       pivots_(std::move(pivot_indices)),
       precision_(table_precision) {
-  if (store().empty()) {
+  const std::size_t n = store().size();
+  if (n == 0) {
     throw std::invalid_argument("Laesa: empty prototype set");
   }
   if (pivots_.empty()) {
     throw std::invalid_argument("Laesa: need at least one pivot");
   }
   for (std::size_t p : pivots_) {
-    if (p >= store().size()) {
+    if (p >= n) {
       throw std::invalid_argument("Laesa: pivot index out of range");
     }
   }
-  BuildTable();
+  CheckSweepPrototypeCount(n, "Laesa");
+  pivot_dist_.resize(pivots_.size() * n);
+  for (std::size_t p = 0; p < pivots_.size(); ++p) {
+    FillPivotTableRow(store(), *distance_, pivots_[p],
+                      pivot_dist_.data() + p * n);
+  }
+  FinishTable();
 }
 
-void Laesa::BuildTable() {
-  const PrototypeStore& protos = store();
-  const std::size_t n = protos.size();
-  CheckSweepPrototypeCount(n, "Laesa");
+void Laesa::FinishTable() {
+  const std::size_t n = store().size();
   pivot_rank_.assign(n, -1);
   for (std::size_t p = 0; p < pivots_.size(); ++p) {
     pivot_rank_[pivots_[p]] = static_cast<std::int32_t>(p);
   }
-  pivot_dist_.resize(pivots_.size() * n);
-  // One task per table entry: the atomic work queue in ParallelFor balances
-  // the load even when string lengths (and thus per-distance cost) vary
-  // wildly. Every distance kernel is thread-safe (thread-local workspaces).
-  ParallelFor(pivots_.size() * n, [&](std::size_t t) {
-    const std::size_t p = t / n;
-    const std::size_t i = t % n;
-    pivot_dist_[t] = distance_->Distance(protos[pivots_[p]], protos[i]);
-  });
-  preprocessing_computations_ +=
+  preprocessing_computations_ =
       static_cast<std::uint64_t>(pivots_.size()) * n;
   if (precision_ != TablePrecision::kF64) {
     // Quantize row by row (round-down codes + per-row gap, table_quant.h)

@@ -50,8 +50,9 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   /// Builds the pivot table with greedy max-min pivots starting from
   /// prototype `first_pivot`. `prototypes` is either a borrowed
   /// `PrototypeStore` (caller keeps it alive) or a `std::vector<std::string>`
-  /// packed once into an owned store. Costs ~(num_pivots+1)·N distance
-  /// evaluations.
+  /// packed once into an owned store. Costs P·N distance evaluations
+  /// (P = pivots chosen, N = prototypes): the selection's distance rows,
+  /// each computed once and row-parallel, are the pivot table.
   ///
   /// `table_precision` selects the pivot table's storage (table_quant.h):
   /// f64 keeps the exact table; f32/f16/u8 quantize each row with
@@ -63,7 +64,9 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
         std::size_t num_pivots, std::size_t first_pivot = 0,
         TablePrecision table_precision = DefaultTablePrecision());
 
-  /// Builds with externally chosen pivot indices (ablation hook).
+  /// Builds with externally chosen pivot indices (ablation hook): the same
+  /// row-parallel rows, so the selection's own pivot list rebuilds the
+  /// identical table. Costs P·N distance evaluations.
   Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
         std::vector<std::size_t> pivot_indices,
         TablePrecision table_precision = DefaultTablePrecision());
@@ -177,7 +180,8 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   /// The prototype set the index searches over.
   const PrototypeStore& store() const { return prototypes_.get(); }
 
-  /// Distance evaluations spent in preprocessing (pivot selection + table).
+  /// Distance evaluations spent in preprocessing: exactly P·N, since the
+  /// pivot selection's rows are the table.
   std::uint64_t preprocessing_computations() const {
     return preprocessing_computations_;
   }
@@ -188,7 +192,9 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   Laesa(InternalTag, PrototypeStoreRef prototypes, StringDistancePtr distance)
       : prototypes_(prototypes), distance_(std::move(distance)) {}
 
-  void BuildTable();
+  /// Pivot ranks, the preprocessing count and (non-f64) the quantized
+  /// codes, from the finished f64 table.
+  void FinishTable();
 
   /// The index as one segment of the shared LAESA sweep
   /// (search/laesa_sweep.h), which runs every nearest-neighbour query.

@@ -2,6 +2,7 @@
 #define CNED_SEARCH_PIVOT_SELECTION_H_
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -12,28 +13,47 @@
 
 namespace cned {
 
+/// Receives one pivot-table row: row[i] = d(pivot, prototypes[i]) for
+/// every prototype i. The row is valid only during the call.
+using PivotRowSink = std::function<void(const double* row)>;
+
 /// Greedy maximum-minimum-distance pivot (base prototype) selection, the
 /// strategy of the LAESA paper (Micó, Oncina & Vidal 1994): start from
 /// `first` and repeatedly add the prototype whose minimum distance to the
-/// already-chosen pivots is largest. Returns `count` indices.
+/// already-chosen pivots is largest. Returns up to `count` indices (fewer
+/// once every remaining prototype coincides with a pivot).
 ///
-/// Costs count * |prototypes| distance evaluations.
+/// Each chosen pivot's full distance row is computed once, row-parallel
+/// (FillPivotTableRow), drives the choice of the next pivot, and is handed
+/// to `on_row` in pivot order: the selection's rows ARE the LAESA pivot
+/// table. Costs exactly (returned pivots) * |prototypes| distance
+/// evaluations.
 std::vector<std::size_t> SelectPivotsMaxMin(const PrototypeStore& prototypes,
                                             const StringDistance& distance,
                                             std::size_t count,
-                                            std::size_t first = 0);
+                                            std::size_t first = 0,
+                                            const PivotRowSink& on_row = {});
 
-/// Sharded overload over the global index space — identical selection to a
-/// flat store of the same strings (the sharded index's bit-identity with
-/// the flat one starts here), without materialising a flat copy.
+/// Sharded overload over the global index space — identical selection and
+/// rows to a flat store of the same strings (the sharded index's
+/// bit-identity with the flat one starts here), without materialising a
+/// flat copy.
 std::vector<std::size_t> SelectPivotsMaxMin(
     const ShardedPrototypeStore& prototypes, const StringDistance& distance,
-    std::size_t count, std::size_t first = 0);
+    std::size_t count, std::size_t first = 0, const PivotRowSink& on_row = {});
 
 /// Convenience overload: packs `prototypes` into a temporary store.
 std::vector<std::size_t> SelectPivotsMaxMin(
     const std::vector<std::string>& prototypes, const StringDistance& distance,
     std::size_t count, std::size_t first = 0);
+
+/// One pivot-table row: row[i] = distance.Distance(prototypes[pivot],
+/// prototypes[i]) for every i, pivot first (no symmetry shortcut — a
+/// non-metric normalisation need not be symmetric to the last ulp), one
+/// ParallelFor task per entry. |prototypes| distance evaluations.
+void FillPivotTableRow(const PrototypeStore& prototypes,
+                       const StringDistance& distance, std::size_t pivot,
+                       double* row);
 
 /// Uniform random pivots (the ablation baseline).
 std::vector<std::size_t> SelectPivotsRandom(std::size_t n_prototypes,

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/binary_io.h"
-#include "common/parallel.h"
 #include "search/laesa_sweep.h"
 #include "search/pivot_selection.h"
 #include "search/sweep_kernel.h"
@@ -26,42 +25,31 @@ ShardedLaesa::ShardedLaesa(const ShardedPrototypeStore& store,
   if (num_pivots == 0) {
     throw std::invalid_argument("ShardedLaesa: need at least one pivot");
   }
-  // Max-min selection over the global index space — the exact sequence the
-  // flat index picks, so a sharded and a flat build of the same data share
-  // pivots (and therefore search trajectories).
-  pivots_ = SelectPivotsMaxMin(store, *distance_, num_pivots, first_pivot);
-  preprocessing_computations_ +=
-      static_cast<std::uint64_t>(pivots_.size()) * store.size();
-  BuildTables();
-}
-
-void ShardedLaesa::BuildTables() {
-  const ShardedPrototypeStore& st = *store_;
-  const std::size_t n = st.size();
-  const std::size_t p_count = pivots_.size();
+  const std::size_t n = store.size();
   CheckSweepPrototypeCount(n, "ShardedLaesa");
+  // Max-min selection over the global index space — the exact sequence and
+  // rows the flat index computes, so a sharded and a flat build of the same
+  // data share pivots (and therefore search trajectories). Each selection
+  // row is the table row: its shard slices are appended straight from the
+  // selection's one scratch row, never recomputed.
+  tables_.resize(store.shard_count());
+  for (std::size_t s = 0; s < store.shard_count(); ++s) {
+    tables_[s].reserve(num_pivots * store.shard(s).size());
+  }
+  pivots_ = SelectPivotsMaxMin(
+      store, *distance_, num_pivots, first_pivot, [&](const double* row) {
+        for (std::size_t s = 0; s < store.shard_count(); ++s) {
+          const double* slice = row + store.shard_base(s);
+          tables_[s].insert(tables_[s].end(), slice,
+                            slice + store.shard(s).size());
+        }
+      });
+  const std::size_t p_count = pivots_.size();
   pivot_rank_.assign(n, -1);
   for (std::size_t p = 0; p < p_count; ++p) {
-    if (pivot_rank_[pivots_[p]] >= 0) {
-      throw std::invalid_argument("ShardedLaesa: duplicate pivot index");
-    }
     pivot_rank_[pivots_[p]] = static_cast<std::int32_t>(p);
   }
-  tables_.resize(st.shard_count());
-  for (std::size_t s = 0; s < st.shard_count(); ++s) {
-    tables_[s].resize(p_count * st.shard(s).size());
-  }
-  // One task per table entry, as in the flat build: the atomic work queue
-  // balances wildly varying string lengths, and writes are disjoint.
-  ParallelFor(p_count * n, [&](std::size_t t) {
-    const std::size_t p = t / n;
-    const std::size_t g = t % n;
-    const std::size_t s = st.ShardOf(g);
-    const std::size_t local = g - st.shard_base(s);
-    tables_[s][p * st.shard(s).size() + local] =
-        distance_->Distance(st.view(pivots_[p]), st.view(g));
-  });
-  preprocessing_computations_ += static_cast<std::uint64_t>(p_count) * n;
+  preprocessing_computations_ = static_cast<std::uint64_t>(p_count) * n;
 
   if (precision_ != TablePrecision::kF64) {
     // Quantize each GLOBAL pivot row with one shared meta: scan every
@@ -70,20 +58,20 @@ void ShardedLaesa::BuildTables() {
     // produces exactly the codes and gaps a flat build of the same data
     // would — sharded results stay bit-identical to flat at any precision.
     const std::size_t width = TablePrecisionBytes(precision_);
-    quant_tables_.resize(st.shard_count());
-    for (std::size_t s = 0; s < st.shard_count(); ++s) {
-      quant_tables_[s].resize(p_count * st.shard(s).size() * width);
+    quant_tables_.resize(store.shard_count());
+    for (std::size_t s = 0; s < store.shard_count(); ++s) {
+      quant_tables_[s].resize(p_count * store.shard(s).size() * width);
     }
     row_meta_.resize(p_count);
     for (std::size_t p = 0; p < p_count; ++p) {
       QuantRowEncoder enc;
-      for (std::size_t s = 0; s < st.shard_count(); ++s) {
-        enc.Scan(tables_[s].data() + p * st.shard(s).size(),
-                 st.shard(s).size());
+      for (std::size_t s = 0; s < store.shard_count(); ++s) {
+        enc.Scan(tables_[s].data() + p * store.shard(s).size(),
+                 store.shard(s).size());
       }
       enc.Prepare(precision_);
-      for (std::size_t s = 0; s < st.shard_count(); ++s) {
-        const std::size_t n_s = st.shard(s).size();
+      for (std::size_t s = 0; s < store.shard_count(); ++s) {
+        const std::size_t n_s = store.shard(s).size();
         enc.Encode(tables_[s].data() + p * n_s, n_s,
                    quant_tables_[s].data() + p * n_s * width);
       }

@@ -51,8 +51,10 @@ class ShardedLaesa final : public NearestNeighborSearcher,
 
   /// Builds per-shard pivot tables with greedy max-min pivots over the
   /// global set, starting from global index `first_pivot`. `store` is
-  /// borrowed — the caller keeps it alive. Costs ~2·num_pivots·N distance
-  /// evaluations, the same as the flat index.
+  /// borrowed — the caller keeps it alive. Costs P·N distance evaluations
+  /// (P = pivots chosen, N = prototypes), the same as the flat index: the
+  /// selection's rows, computed row-parallel, are scattered into the shard
+  /// tables.
   ///
   /// `table_precision` quantizes the shard tables exactly as in `Laesa`:
   /// each GLOBAL pivot row gets one shared decode meta (scanned across all
@@ -106,7 +108,8 @@ class ShardedLaesa final : public NearestNeighborSearcher,
   std::size_t num_pivots() const { return pivots_.size(); }
   const std::vector<std::size_t>& pivots() const { return pivots_; }
 
-  /// Distance evaluations spent in preprocessing (pivot selection + tables).
+  /// Distance evaluations spent in preprocessing: exactly P·N, since the
+  /// pivot selection's rows are the tables.
   std::uint64_t preprocessing_computations() const {
     return preprocessing_computations_;
   }
@@ -184,8 +187,6 @@ class ShardedLaesa final : public NearestNeighborSearcher,
   ShardedLaesa(InternalTag, const ShardedPrototypeStore& store,
                StringDistancePtr distance)
       : store_(&store), distance_(std::move(distance)) {}
-
-  void BuildTables();
 
   /// The index as the shared LAESA sweep's segments, one per shard
   /// (search/laesa_sweep.h), which runs every nearest-neighbour query.

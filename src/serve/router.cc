@@ -16,6 +16,7 @@
 
 #include "common/binary_io.h"
 #include "distances/registry.h"
+#include "serve/fault.h"
 #include "serve/frame.h"
 #include "serve/shard_snapshot.h"
 #include "serve/wire.h"
@@ -58,6 +59,18 @@ void ValidateServeOptions(const ServeOptions& o) {
   if (o.max_respawns_per_tick < 0) {
     fail("max_respawns_per_tick", o.max_respawns_per_tick, "must be >= 0");
   }
+  // Parsed here, before any fork: a worker that cannot parse its schedule
+  // has no way to report it.
+  auto check_spec = [](const char* field, const std::string& spec) {
+    try {
+      FaultSpec::Parse(spec);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string("ServeOptions.") + field +
+                                  ": " + e.what());
+    }
+  };
+  check_spec("fault_spec", o.fault_spec);
+  check_spec("respawn_fault_spec", o.respawn_fault_spec);
 }
 
 /// Exponential backoff before retry `attempt` (1-based), capped at the
@@ -419,31 +432,37 @@ void ServeRouter::SpawnReplica(std::size_t s, std::size_t r,
     return;
   }
   if (pid == 0) {
-    close(sv[0]);
-    for (const int fd : router_fds) close(fd);
-    WorkerConfig config;
-    config.shard_id = s;
-    config.replica_id = r;
-    config.store_path = ShardStorePath(dir_, s);
-    config.index_path = ShardIndexPath(dir_, s);
-    config.distance = options_.distance;
-    config.fault_spec = fault_spec;
-    if (!options_.worker_binary.empty()) {
-      // Exec form: hand the socket over as fd 3.
-      if (sv[1] != 3) {
-        dup2(sv[1], 3);
-        close(sv[1]);
+    // The child never returns into the router's stack: whatever it throws
+    // ends the child, not the parent program's code running on in it.
+    try {
+      close(sv[0]);
+      for (const int fd : router_fds) close(fd);
+      WorkerConfig config;
+      config.shard_id = s;
+      config.replica_id = r;
+      config.store_path = ShardStorePath(dir_, s);
+      config.index_path = ShardIndexPath(dir_, s);
+      config.distance = options_.distance;
+      config.fault_spec = fault_spec;
+      if (!options_.worker_binary.empty()) {
+        // Exec form: hand the socket over as fd 3.
+        if (sv[1] != 3) {
+          dup2(sv[1], 3);
+          close(sv[1]);
+        }
+        execl(options_.worker_binary.c_str(), options_.worker_binary.c_str(),
+              "--fd=3", ("--shard=" + std::to_string(s)).c_str(),
+              ("--replica=" + std::to_string(r)).c_str(),
+              ("--store=" + config.store_path).c_str(),
+              ("--index=" + config.index_path).c_str(),
+              ("--distance=" + config.distance).c_str(),
+              ("--fault=" + config.fault_spec).c_str(), (char*)nullptr);
+        _exit(127);
       }
-      execl(options_.worker_binary.c_str(), options_.worker_binary.c_str(),
-            "--fd=3", ("--shard=" + std::to_string(s)).c_str(),
-            ("--replica=" + std::to_string(r)).c_str(),
-            ("--store=" + config.store_path).c_str(),
-            ("--index=" + config.index_path).c_str(),
-            ("--distance=" + config.distance).c_str(),
-            ("--fault=" + config.fault_spec).c_str(), (char*)nullptr);
-      _exit(127);
+      _exit(RunShardWorker(sv[1], config));
+    } catch (...) {
+      _exit(1);
     }
-    _exit(RunShardWorker(sv[1], config));
   }
   close(sv[1]);
   std::lock_guard<std::mutex> lock(g.mu);

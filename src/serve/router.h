@@ -83,7 +83,9 @@ struct ServeOptions {
   int max_respawns_per_tick = 4;
 
   /// CNED_FAULT-grammar fault schedule for the initial workers
-  /// (serve/fault.h); empty = fault-free.
+  /// (serve/fault.h); empty = fault-free. Both schedules are parsed by the
+  /// router's constructor, which throws std::invalid_argument on a bad one
+  /// before any worker is forked.
   std::string fault_spec;
   /// Fault schedule handed to *respawned* workers. Kept separate (and
   /// default clean) so an nth-based crash directive does not re-fire on

@@ -2,13 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "datasets/dictionary_gen.h"
 #include "datasets/perturb.h"
+#include "datasets/prototype_store.h"
 #include "distances/registry.h"
 #include "search/counting_distance.h"
 #include "search/exhaustive.h"
+#include "search/laesa_sweep.h"
 #include "strings/string_gen.h"
+#include "tests/pivot_table_reference.h"
+#include "tests/snapshot_test_util.h"
+#include "tests/test_util.h"
 
 namespace cned {
 namespace {
@@ -116,8 +125,65 @@ TEST(LaesaTest, MorePivotsFewerQueryComputations) {
 TEST(LaesaTest, PreprocessingCostAccounted) {
   auto protos = SmallDictionary(50, 110);
   Laesa laesa(protos, MakeDistance("dE"), 5);
-  // Pivot selection (~5*50) + table (5*50).
-  EXPECT_GE(laesa.preprocessing_computations(), 250u);
+  // The selection's rows are the table: one evaluation per entry.
+  EXPECT_EQ(laesa.preprocessing_computations(), 5u * 50u);
+}
+
+// The one-pass build against the sequential reference (select, then
+// recompute every entry): identical pivots, identical table bits, P·N.
+void ExpectBuildMatchesReference(const PrototypeStore& store,
+                                 const StringDistancePtr& dist,
+                                 std::size_t count,
+                                 const std::string& context) {
+  const ReferencePivotTable ref = ReferenceMaxMinBuild(store, *dist, count);
+  const Laesa laesa(store, dist, count, /*first_pivot=*/0,
+                    TablePrecision::kF64);
+  EXPECT_EQ(laesa.pivots(), ref.pivots) << context;
+  ASSERT_EQ(laesa.pivots().size() * store.size(), ref.table.size())
+      << context;
+  EXPECT_TRUE(SameBits(laesa.sweep_segment().table.f64, ref.table.data(),
+                       ref.table.size()))
+      << context;
+  EXPECT_EQ(laesa.preprocessing_computations(), ref.table.size()) << context;
+}
+
+TEST(LaesaTest, OnePassBuildMatchesSequentialReference) {
+  const PrototypeStore store(WordsWithDuplicates(80, 20, 4300));
+  for (const char* name : {"dE", "dC"}) {
+    ExpectBuildMatchesReference(store, MakeDistance(name), 12, name);
+  }
+  // Early stop: two distinct strings give two pivots and two rows.
+  const PrototypeStore pairs(std::vector<std::string>{"aa", "aa", "bb", "bb"});
+  ExpectBuildMatchesReference(pairs, MakeDistance("dE"), 4, "early stop");
+}
+
+TEST(LaesaTest, ExplicitPivotRebuildSavesIdenticalBytes) {
+  // The explicit-pivot constructor fills the same rows the selection
+  // does: handed the selection's own pivot list, it saves the same bytes,
+  // text and binary, exact and quantized.
+  const PrototypeStore store(WordsWithDuplicates(80, 20, 4400));
+  TempDir dir;
+  for (const char* name : {"dE", "dC"}) {
+    auto dist = MakeDistance(name);
+    for (const TablePrecision prec :
+         {TablePrecision::kF64, TablePrecision::kU8}) {
+      const std::string ctx =
+          std::string(name) + " " + TablePrecisionName(prec);
+      const Laesa selected(store, dist, 12, /*first_pivot=*/0, prec);
+      const Laesa rebuilt(store, dist, selected.pivots(), prec);
+      EXPECT_EQ(rebuilt.preprocessing_computations(),
+                selected.preprocessing_computations())
+          << ctx;
+      std::ostringstream text_a, text_b;
+      selected.Save(text_a);
+      rebuilt.Save(text_b);
+      EXPECT_EQ(text_a.str(), text_b.str()) << ctx;
+      selected.Save(dir.path + "/a.bin");
+      rebuilt.Save(dir.path + "/b.bin");
+      EXPECT_EQ(ReadAll(dir.path + "/a.bin"), ReadAll(dir.path + "/b.bin"))
+          << ctx;
+    }
+  }
 }
 
 TEST(LaesaTest, InvalidConstructionThrows) {

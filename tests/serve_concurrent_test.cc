@@ -27,9 +27,9 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -189,8 +189,10 @@ TEST(ServeConcurrentTest, MixedQueryInsertRemoveStormNeverFlags) {
   // strings and removing every second one of them. Mutations take the
   // world lock exclusive — the announced-writer backoff in the sweep
   // driver is what keeps them from starving behind its shared hold.
-  std::mutex failures_mu;
-  std::vector<std::string> failures;
+  // EXPECT_* is not thread-safe: each thread keeps its (k, result) pairs
+  // in its own slot and the main thread checks them after the join.
+  std::vector<std::vector<std::pair<std::size_t, ServeResult>>> results(
+      kThreads);
   std::vector<std::vector<std::pair<std::uint64_t, std::string>>> kept(
       kThreads);
   std::vector<std::vector<std::string>> removed(kThreads);
@@ -201,24 +203,8 @@ TEST(ServeConcurrentTest, MixedQueryInsertRemoveStormNeverFlags) {
       for (std::size_t i = 0; i < 10; ++i) {
         const std::string& q = w.queries[(t + i) % w.queries.size()];
         const std::size_t kk = (i % 2 == 0) ? 1 : 4;
-        const ServeResult res = i % 2 == 0 ? engine.Nearest(q)
-                                           : engine.KNearest(q, kk);
-        {
-          // EXPECT_* is not thread-safe; collect and assert on the main
-          // thread after the join.
-          const std::string ctx =
-              "t=" + std::to_string(t) + " i=" + std::to_string(i);
-          if (res.shed || res.partial || !res.missing_shards.empty()) {
-            std::lock_guard<std::mutex> lock(failures_mu);
-            failures.push_back(ctx + " flagged/shed");
-          }
-          for (std::size_t j = 1; j < res.neighbors.size(); ++j) {
-            if (res.neighbors[j].distance < res.neighbors[j - 1].distance) {
-              std::lock_guard<std::mutex> lock(failures_mu);
-              failures.push_back(ctx + " unsorted neighbours");
-            }
-          }
-        }
+        results[t].emplace_back(kk, i % 2 == 0 ? engine.Nearest(q)
+                                               : engine.KNearest(q, kk));
         if (i % 3 == 0) {
           const std::string s = "qz" + std::to_string(t) + "ws" +
                                 std::to_string(i) + "xv";
@@ -234,8 +220,13 @@ TEST(ServeConcurrentTest, MixedQueryInsertRemoveStormNeverFlags) {
     });
   }
   for (auto& th : threads) th.join();
-  for (const std::string& f : failures) ADD_FAILURE() << f;
-
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(results[t].size(), 10u);
+    for (std::size_t i = 0; i < results[t].size(); ++i) {
+      ExpectWellFormed(results[t][i].second, results[t][i].first,
+                       "t=" + std::to_string(t) + " i=" + std::to_string(i));
+    }
+  }
   // Quiesced: every surviving insert is served (distance 0, its own id),
   // every removed one is gone (the synthetic strings are nowhere near
   // the dictionary, so distance 0 can only be the string itself).

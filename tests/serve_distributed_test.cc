@@ -601,6 +601,30 @@ TEST(ServeDistributedTest, InvalidOptionsThrowNamingTheField) {
   expect_invalid(opt, "distance");
 }
 
+// An unparsable fault schedule, initial or respawn, is refused by the
+// constructor before any worker is forked: a worker that threw on it
+// could only die with nothing to report.
+TEST(ServeDistributedTest, UnparsableFaultSpecsThrowBeforeAnyFork) {
+  Workload w = MakeWorkload(40, 1, 9210);
+  Deployment dep(w.protos, 2, 4);
+  auto expect_invalid = [&](ServeOptions opt, const std::string& field) {
+    try {
+      ServeRouter router(dep.dir.path, opt);
+      FAIL() << "expected std::invalid_argument for " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("ServeOptions." + field),
+                std::string::npos)
+          << "message '" << e.what() << "' does not name " << field;
+    }
+  };
+  ServeOptions opt = FastOptions();
+  opt.fault_spec = "crash:op=scan,nth=1";
+  expect_invalid(opt, "fault_spec");
+  opt = FastOptions();
+  opt.respawn_fault_spec = "explode:shard=0";
+  expect_invalid(opt, "respawn_fault_spec");
+}
+
 // --- Satellite: degraded-mode determinism ----------------------------------
 
 void ExpectSameServeResult(const ServeResult& a, const ServeResult& b,

@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/rng.h"
 #include "datasets/dictionary_gen.h"
 #include "datasets/perturb.h"
@@ -22,6 +24,8 @@
 #include "search/batch_engine.h"
 #include "search/exhaustive.h"
 #include "search/laesa.h"
+#include "tests/pivot_table_reference.h"
+#include "tests/test_util.h"
 
 namespace cned {
 namespace {
@@ -328,6 +332,82 @@ TEST(ShardedLaesaTest, RejectsEmptyStoreAndZeroPivots) {
   ShardedPrototypeStore tiny(std::vector<std::string>{"ab", "cd"}, 2);
   EXPECT_THROW(ShardedLaesa(tiny, MakeDistance("dE"), 0),
                std::invalid_argument);
+}
+
+TEST(ShardedLaesaTest, PreprocessingCostAccounted) {
+  Workload w = MakeWorkload(50, 1, 5600);
+  ShardedPrototypeStore store(w.protos, 3);
+  ShardedLaesa index(store, MakeDistance("dE"), 5);
+  // The selection's rows are the shard tables: one evaluation per entry.
+  EXPECT_EQ(index.preprocessing_computations(), 5u * 50u);
+}
+
+// Reads an f64 sharded snapshot (ShardedLaesa::Save, version 1) back as
+// its pivots and the global row-major table the shard slices tile.
+ReferencePivotTable SavedPivotTable(const ShardedLaesa& index,
+                                    const ShardedPrototypeStore& store) {
+  TempDir dir;
+  const std::string path = dir.path + "/index.bin";
+  index.Save(path);
+  BinaryReader reader(path);
+  const char magic[8] = {'C', 'N', 'E', 'D', 'S', 'H', 'L', '1'};
+  const std::vector<std::uint64_t> counts = reader.Header(magic, 1);
+  const std::size_t n = counts[0], shards = counts[1], np = counts[2];
+  std::vector<std::uint64_t> sizes(shards);
+  reader.Align();
+  reader.Raw(sizes.data(), shards * sizeof(std::uint64_t));
+  ReferencePivotTable got;
+  got.pivots.resize(np);
+  reader.Align();
+  reader.Raw(got.pivots.data(), np * sizeof(std::uint64_t));
+  got.table.resize(np * n);
+  for (std::size_t s = 0; s < shards; ++s) {
+    std::vector<double> slice(np * sizes[s]);
+    reader.Align();
+    reader.Raw(slice.data(), slice.size() * sizeof(double));
+    for (std::size_t p = 0; p < np; ++p) {
+      std::copy(slice.begin() + p * sizes[s],
+                slice.begin() + (p + 1) * sizes[s],
+                got.table.begin() + p * n + store.shard_base(s));
+    }
+  }
+  return got;
+}
+
+TEST(ShardedLaesaTest, OnePassBuildMatchesSequentialReference) {
+  // Each selection row is scattered into the shard slices: the saved
+  // tables must tile exactly the sequential reference's rows, for dE and
+  // the paper's dC, with duplicate strings and with an early stop.
+  const std::vector<std::string> protos = WordsWithDuplicates(80, 20, 5700);
+  const std::vector<std::string> pairs{"aa", "aa", "bb", "bb", "aa"};
+  struct Case {
+    const std::vector<std::string>* protos;
+    const char* distance;
+    std::size_t pivots;
+  };
+  for (const Case& c : {Case{&protos, "dE", 12}, Case{&protos, "dC", 12},
+                        Case{&pairs, "dE", 4}}) {
+    for (const std::size_t shards : kShardCounts) {
+      if (shards > c.protos->size()) continue;
+      const std::string ctx = std::string(c.distance) + " n=" +
+                              std::to_string(c.protos->size()) +
+                              " shards=" + std::to_string(shards);
+      const ShardedPrototypeStore store(*c.protos, shards);
+      const auto dist = MakeDistance(c.distance);
+      const ReferencePivotTable ref =
+          ReferenceMaxMinBuild(store, *dist, c.pivots);
+      const ShardedLaesa index(store, dist, c.pivots, /*first_pivot=*/0,
+                               TablePrecision::kF64);
+      EXPECT_EQ(index.pivots(), ref.pivots) << ctx;
+      EXPECT_EQ(index.preprocessing_computations(), ref.table.size()) << ctx;
+      const ReferencePivotTable got = SavedPivotTable(index, store);
+      EXPECT_EQ(got.pivots, ref.pivots) << ctx;
+      ASSERT_EQ(got.table.size(), ref.table.size()) << ctx;
+      EXPECT_TRUE(
+          SameBits(got.table.data(), ref.table.data(), ref.table.size()))
+          << ctx;
+    }
+  }
 }
 
 }  // namespace
